@@ -229,6 +229,69 @@ fn classification_matches_the_mutation_surface() {
     }
 }
 
+/// `Request::shard_key` names the user every request is scoped to: all
+/// mining queries and both writes carry one, only the server-wide
+/// `Stats`/`Traces` do not. Load generators rely on it to keep each
+/// client's users disjoint.
+#[test]
+fn shard_key_table_matches_request_surface() {
+    let corpus = corpus();
+    let user_scoped = [
+        visit(&corpus, 7, 0, 1),
+        Request::Recall {
+            user: 7,
+            query: "q".into(),
+            since: 0,
+            until: 1,
+            k: 1,
+        },
+        Request::TrailReplay {
+            user: 7,
+            folder: 0,
+            since: 0,
+            max_pages: 1,
+        },
+        Request::WhatsNew {
+            user: 7,
+            folder: 0,
+            since: 0,
+            k: 1,
+        },
+        Request::Bill {
+            user: 7,
+            since: 0,
+            until: 1,
+        },
+        Request::SimilarSurfers { user: 7, k: 1 },
+        Request::Recommend { user: 7, k: 1 },
+        Request::ImportBookmarks {
+            user: 7,
+            html: String::new(),
+            time: 1,
+        },
+        Request::ExportBookmarks { user: 7 },
+        Request::ProposeFolders { user: 7, k: 1 },
+    ];
+    for r in &user_scoped {
+        assert_eq!(
+            r.shard_key(),
+            Some(7),
+            "{} must be scoped to its user",
+            r.name()
+        );
+    }
+    let community = [
+        Request::Stats,
+        Request::Traces {
+            slow_only: false,
+            limit: 1,
+        },
+    ];
+    for r in &community {
+        assert_eq!(r.shard_key(), None, "{} must be community-scoped", r.name());
+    }
+}
+
 /// Per-variant latency metric names are static (no per-request `format!`)
 /// and still follow the catalogued `servlet.<name>.latency` wildcard.
 #[test]

@@ -7,7 +7,7 @@
 //! These run under the nightly TSan job in CI (`san-matrix`), which makes
 //! the RwLock + epoch-cache protocol race-checked, not just stress-tested.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memex_core::memex::{Memex, MemexOptions};
@@ -95,15 +95,21 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
     let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
     let done = Arc::new(AtomicBool::new(false));
+    // The writer starts only once every reader has been answered once, so
+    // the readers really do race the write stream.
+    let readers_live = Arc::new(AtomicUsize::new(0));
 
     let reader_handles: Vec<_> = (0..READERS)
         .map(|_| {
             let done = Arc::clone(&done);
+            let readers_live = Arc::clone(&readers_live);
             std::thread::spawn(move || {
                 let mut client =
                     MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-                let mut watermark = 0u32;
-                let mut observations = 0u64;
+                let first = bill_total(&client.request(&bill_request()).expect("first read"));
+                readers_live.fetch_add(1, Ordering::SeqCst);
+                let mut watermark = first;
+                let mut observations = 1u64;
                 while !done.load(Ordering::SeqCst) {
                     let resp = client.request(&bill_request()).expect("read");
                     let total = bill_total(&resp);
@@ -123,6 +129,14 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
             })
         })
         .collect();
+
+    // A reader that died before its first answer would never count
+    // itself; its join below reports why.
+    while readers_live.load(Ordering::SeqCst) < READERS
+        && !reader_handles.iter().any(|h| h.is_finished())
+    {
+        std::thread::yield_now();
+    }
 
     // One writer streams visits; every Ack means the event (and its demon
     // pass) is durable under the write lock before the next one goes out.

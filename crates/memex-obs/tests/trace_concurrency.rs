@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use memex_obs::trace::{annotate, span};
 use memex_obs::{MetricsRegistry, TraceConfig, Tracer};
@@ -38,7 +38,11 @@ fn concurrent_completion_and_collection_yield_only_complete_trees() {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let mut seen = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                // A reader may first be scheduled after the writers are
+                // done: the pass that starts after `stop` is observed
+                // still runs, over the full ring.
+                loop {
+                    let last = stop.load(Ordering::Relaxed);
                     for trace in t.collect(false, 64) {
                         assert!(trace.is_complete(), "torn trace escaped: {trace:?}");
                         assert!(trace.trace_id != 0);
@@ -46,6 +50,9 @@ fn concurrent_completion_and_collection_yield_only_complete_trees() {
                     }
                     for trace in t.collect(true, 16) {
                         assert!(trace.is_complete(), "torn slow entry: {trace:?}");
+                    }
+                    if last {
+                        break;
                     }
                 }
                 seen
@@ -97,26 +104,37 @@ fn concurrent_completion_and_collection_yield_only_complete_trees() {
 
 #[test]
 fn reconfiguration_races_with_writers_without_losing_structure() {
+    const WRITERS: usize = 4;
     let t = tracer(16);
     let stop = Arc::new(AtomicBool::new(false));
+    // Every writer finishes one trace before reconfiguration starts, so
+    // the loop below runs against writers that are already live.
+    let started = Arc::new(Barrier::new(WRITERS + 1));
 
-    let writers: Vec<_> = (0..4)
+    let writers: Vec<_> = (0..WRITERS)
         .map(|_| {
             let t = t.clone();
             let stop = stop.clone();
+            let started = started.clone();
             std::thread::spawn(move || {
-                let mut produced = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                let trace_one = || {
                     let guard = t.start_trace("net.req", None);
                     let _child = span("servlet");
                     drop(_child);
                     guard.finish();
+                };
+                trace_one();
+                started.wait();
+                let mut produced = 1usize;
+                while !stop.load(Ordering::Relaxed) {
+                    trace_one();
                     produced += 1;
                 }
                 produced
             })
         })
         .collect();
+    started.wait();
 
     // Flip capacity and enablement under live traffic.
     for i in 0..50 {
