@@ -105,7 +105,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "N2",
-            "LSM tiered compaction: read flatness + write amplification",
+            "LSM tiered compaction: point-read flatness",
             n2_lsm::run,
         ),
     ]

@@ -20,8 +20,6 @@
 //!    actually has ≥4 cores.
 //! 4. **trace-off / trace-on** — the mixed workload with the flight
 //!    recorder disabled, then enabled: the tracing cost.
-//! 5. **ingest-while-scan/{engine}** — writers ingest while one reader
-//!    loops long recall scans, once per storage engine.
 
 use std::time::Instant;
 
@@ -94,35 +92,6 @@ fn read_workload(user: u32, rounds: usize, salt: u64) -> Vec<Request> {
             since,
             k: 5,
         });
-    }
-    reqs
-}
-
-/// A pure-write workload for one client: fresh `Visit` events for `user`,
-/// pages cycling through `topic`'s corpus slice, times salted so every
-/// event across every client and run is distinct.
-fn write_workload(
-    corpus: &memex_web::corpus::Corpus,
-    user: u32,
-    rounds: usize,
-    salt: u64,
-) -> Vec<Request> {
-    let pages = corpus.pages_of_topic(user as usize % 4);
-    let mut reqs = Vec::with_capacity(rounds);
-    let mut prev = None;
-    for r in 0..rounds {
-        let page = pages[r % pages.len()];
-        reqs.push(Request::Event(memex_server::events::ClientEvent::Visit(
-            memex_server::events::VisitEvent {
-                user,
-                session: user,
-                page,
-                url: corpus.pages[page as usize].url.clone(),
-                time: 1_000_000 + salt * 100_000 + r as u64,
-                referrer: prev,
-            },
-        )));
-        prev = Some(page);
     }
     reqs
 }
@@ -269,190 +238,6 @@ fn scenario(
     (memex, shed, reqs_per_sec)
 }
 
-/// One `ingest-while-scan/{engine}` row: sustained write throughput with
-/// a concurrent long snapshot scan, per storage engine. Shared with the
-/// N2 bench, which reruns the scenario at 10x the ingest volume.
-pub(crate) struct IngestScanStats {
-    pub(crate) engine: &'static str,
-    pub(crate) write_clients: usize,
-    pub(crate) writes_ok: u64,
-    pub(crate) write_reqs_per_sec: f64,
-    pub(crate) scans_ok: u64,
-    pub(crate) scan_latency_us: Option<(f64, f64, f64)>,
-    pub(crate) wall_ms: f64,
-    pub(crate) lsm_seals: u64,
-    pub(crate) lsm_compactions: u64,
-}
-
-/// PR 8 scenario: writers ingest fresh visits while one reader loops
-/// long `Recall` scans against the same server, once per storage engine
-/// (`MemexOptions.server.index.engine`). Reports sustained write
-/// throughput and the scan latency tail from the server's own
-/// `servlet.recall.latency` histogram — the number the LSM engine's
-/// snapshot claim rests on: scans must not stall while the memtable
-/// seals and the compactor churns underneath them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ingest_while_scan(
-    table: &mut Table,
-    rows: &mut Vec<IngestScanStats>,
-    engine: memex_store::EngineKind,
-    corpus: &std::sync::Arc<memex_web::corpus::Corpus>,
-    community: &memex_web::surfer::Community,
-    users: &[u32],
-    write_rounds: usize,
-    scan_rounds: usize,
-) {
-    // A small seal budget so the LSM actually churns (seals + background
-    // compactions) under the bench's corpus-sized ingest.
-    std::env::set_var("MEMEX_LSM_MEMTABLE_BYTES", "4096");
-    let mut opts = memex_core::memex::MemexOptions::default();
-    opts.server.index.engine = engine;
-    let memex = crate::worlds::populated_memex_opts(corpus.clone(), community, opts);
-    std::env::remove_var("MEMEX_LSM_MEMTABLE_BYTES");
-    let write_clients = 2usize;
-    let config = NetServerConfig {
-        workers: write_clients + 1,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind loopback");
-    let addr = server.local_addr();
-
-    let start = Instant::now();
-    let writers: Vec<_> = (0..write_clients)
-        .map(|i| {
-            let reqs = write_workload(corpus, users[i % users.len()], write_rounds, 77 + i as u64);
-            std::thread::spawn(move || {
-                let mut ok = 0u64;
-                let mut client = match MemexClient::connect(addr, ClientConfig::default()) {
-                    Ok(c) => c,
-                    Err(_) => return 0,
-                };
-                for req in reqs {
-                    match client.request(&req) {
-                        Ok(Response::Overloaded { .. }) | Ok(Response::Error(_)) | Err(_) => {}
-                        Ok(_) => ok += 1,
-                    }
-                }
-                ok
-            })
-        })
-        .collect();
-    // The long scan: full-corpus recalls for a topic-name term (so the
-    // query actually matches and ranks pages), k far past the budget.
-    let scan_user = users[0];
-    let scan_query = corpus.topic_names[0].clone();
-    let scanner = std::thread::spawn(move || {
-        let mut ok = 0u64;
-        let mut client = match MemexClient::connect(addr, ClientConfig::default()) {
-            Ok(c) => c,
-            Err(_) => return 0,
-        };
-        for r in 0..scan_rounds {
-            let req = Request::Recall {
-                user: scan_user,
-                query: scan_query.clone(),
-                since: r as u64,
-                until: u64::MAX,
-                k: 50,
-            };
-            if matches!(client.request(&req), Ok(Response::Recall { .. })) {
-                ok += 1;
-            }
-        }
-        ok
-    });
-    let writes_ok: u64 = writers.into_iter().map(|h| h.join().expect("writer")).sum();
-    let scans_ok = scanner.join().expect("scanner");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
-    let scan_latency_us = snap.histogram("servlet.recall.latency").map(|h| {
-        (
-            percentile_us(h, 0.50),
-            percentile_us(h, 0.95),
-            percentile_us(h, 0.99),
-        )
-    });
-    let write_reqs_per_sec = writes_ok as f64 / (wall_ms / 1e3).max(f64::MIN_POSITIVE);
-    let name = format!("ingest-while-scan/{}", engine.name());
-    let (p50, p95, p99) = match scan_latency_us {
-        Some((p50, p95, p99)) => (
-            format!("{p50:.0}"),
-            format!("{p95:.0}"),
-            format!("{p99:.0}"),
-        ),
-        None => ("-".into(), "-".into(), "-".into()),
-    };
-    table.row(vec![
-        name,
-        (write_clients + 1).to_string(),
-        (write_clients * write_rounds + scan_rounds).to_string(),
-        (writes_ok + scans_ok).to_string(),
-        "0".into(),
-        ((write_clients * write_rounds) as u64 - writes_ok + scan_rounds as u64 - scans_ok)
-            .to_string(),
-        format!("{wall_ms:.0}"),
-        format!("{write_reqs_per_sec:.0}"),
-        p50,
-        p95,
-        p99,
-    ]);
-    rows.push(IngestScanStats {
-        engine: engine.name(),
-        write_clients,
-        writes_ok,
-        write_reqs_per_sec,
-        scans_ok,
-        scan_latency_us,
-        wall_ms,
-        lsm_seals: snap.counter("store.lsm.seals"),
-        lsm_compactions: snap.counter("store.lsm.compactions"),
-    });
-}
-
-/// Serialise the ingest-while-scan rows into the committed
-/// `BENCH_PR8.json` artifact (hand-rolled JSON; no serde in the
-/// workspace).
-fn write_pr8_artifact(path: &str, quick: bool, rows: &[IngestScanStats]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"N1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    out.push_str("  \"ingest_while_scan\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let (p50, p95, p99) = match r.scan_latency_us {
-            Some((p50, p95, p99)) => (
-                format!("{p50:.1}"),
-                format!("{p95:.1}"),
-                format!("{p99:.1}"),
-            ),
-            None => ("null".into(), "null".into(), "null".into()),
-        };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"write_clients\": {}, \"writes_ok\": {}, \
-             \"write_reqs_per_sec\": {:.1}, \"scans_ok\": {}, \"scan_p50_us\": {p50}, \
-             \"scan_p95_us\": {p95}, \"scan_p99_us\": {p99}, \"wall_ms\": {:.1}, \
-             \"lsm_seals\": {}, \"lsm_compactions\": {}}}{}\n",
-            r.engine,
-            r.write_clients,
-            r.writes_ok,
-            r.write_reqs_per_sec,
-            r.scans_ok,
-            r.wall_ms,
-            r.lsm_seals,
-            r.lsm_compactions,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
 /// Run-level summaries that accompany the per-scenario rows in the
 /// artifact.
 struct ArtifactSummary<'a> {
@@ -545,7 +330,7 @@ fn write_artifact(path: &str, stats: &[ScenarioStats], summary: &ArtifactSummary
 pub fn run(quick: bool) -> Table {
     // The network layer's cost is framing + locking, not corpus size: the
     // quick world keeps the focus on the serving path.
-    let (_corpus, community, memex) = standard_world(true, 0x9E7);
+    let (_, community, memex) = standard_world(true, 0x9E7);
     let users: Vec<u32> = community.users.iter().map(|u| u.user).collect();
     let mut table = Table::new(
         "N1 — memex-net: concurrent TCP serving (loopback)",
@@ -649,28 +434,6 @@ pub fn run(quick: bool) -> Table {
         trace_rates[step] = rate;
     }
 
-    // Scenario 5: ingest-while-scan, once per storage engine. Fresh
-    // replicas per engine so the only variable is the engine behind the
-    // index's keyed store.
-    let iws_write_rounds = if quick { 120 } else { 400 };
-    let iws_scan_rounds = if quick { 40 } else { 150 };
-    let mut iws_rows: Vec<IngestScanStats> = Vec::new();
-    for engine in [memex_store::EngineKind::BTree, memex_store::EngineKind::Lsm] {
-        ingest_while_scan(
-            &mut table,
-            &mut iws_rows,
-            engine,
-            &_corpus,
-            &community,
-            &users,
-            iws_write_rounds,
-            iws_scan_rounds,
-        );
-    }
-    let pr8_path =
-        std::env::var("MEMEX_BENCH_PR8_PATH").unwrap_or_else(|_| "BENCH_PR8.json".to_string());
-    write_pr8_artifact(&pr8_path, quick, &iws_rows);
-
     let lock_wait = memex
         .registry()
         .snapshot()
@@ -698,10 +461,6 @@ pub fn run(quick: bool) -> Table {
     ));
     table.note(&format!(
         "machine-readable artifact written to {artifact_path}"
-    ));
-    table.note(&format!(
-        "ingest-while-scan: req/s column is sustained write throughput, latency columns are the \
-         concurrent reader's servlet.recall.latency tail; artifact {pr8_path}"
     ));
     table.note(&format!(
         "overload scenario (in-flight limit 1) shed {shed} requests explicitly; clean shutdown all scenarios"

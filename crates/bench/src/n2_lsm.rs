@@ -1,22 +1,13 @@
 //! # N2 — LSM read/write amplification under tiered compaction
 //!
-//! The numbers PR 10's bugfix claim rests on, in two parts:
-//!
-//! 1. **Point-read flatness.** Accumulate ≥16 sealed runs (background
-//!    compaction off), measure `get()` latency percentiles, then compact
-//!    the whole stack to a single run and measure the same workload
-//!    again. With per-run bloom filters the multi-run p99 must stay
-//!    within 1.2x of the single-run baseline: probing a run the key
-//!    cannot be in costs one bloom check, not a full index descent.
-//!    Absent-key probes (pure bloom-skip traffic) are reported as their
-//!    own row, ungated — they are the workload the old code paid 16
-//!    index descents for.
-//!
-//! 2. **Ingest-while-scan at 10x volume.** The PR 8 scenario
-//!    (`n1_net::ingest_while_scan`) rerun with `write_rounds` scaled
-//!    10x: sustained write throughput must stay within 10% of the
-//!    committed `BENCH_PR8.json` reference now that compaction merges
-//!    one tier at a time instead of rewriting the whole stack per wake.
+//! **Point-read flatness.** Accumulate ≥16 sealed runs (background
+//! compaction off), measure `get()` latency percentiles, then compact
+//! the whole stack to a single run and measure the same workload again.
+//! With per-run bloom filters the multi-run p99 must stay within 1.2x of
+//! the single-run baseline: probing a run the key cannot be in costs one
+//! bloom check, not a full index descent. Absent-key probes (pure
+//! bloom-skip traffic) are reported as their own row, ungated — they are
+//! the workload the old code paid 16 index descents for.
 //!
 //! Results land in `BENCH_PR10.json` (override the path with
 //! `MEMEX_BENCH_PR10_PATH`).
@@ -24,11 +15,9 @@
 use std::time::Instant;
 
 use memex_obs::MetricsRegistry;
-use memex_store::{EngineKind, LsmOptions, LsmStore};
+use memex_store::{LsmOptions, LsmStore};
 
-use crate::n1_net::{ingest_while_scan, IngestScanStats};
 use crate::table::Table;
-use crate::worlds::standard_world;
 
 /// Latency percentiles (ns) over one timed `get()` sweep.
 struct ReadSweep {
@@ -145,20 +134,6 @@ fn sweep_row(table: &mut Table, name: &str, s: &ReadSweep) {
     ]);
 }
 
-/// Pull the committed `BENCH_PR8.json` lsm write rate out of the
-/// artifact (hand-rolled parse; no serde in the workspace). Returns
-/// `None` if the artifact is missing or the row cannot be found.
-fn pr8_lsm_write_rate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let lsm_at = text.find("\"engine\": \"lsm\"")?;
-    let tail = &text[lsm_at..];
-    let field = "\"write_reqs_per_sec\": ";
-    let at = tail.find(field)? + field.len();
-    let rest = &tail[at..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 struct PointReadResults {
     runs_before: usize,
     keys: usize,
@@ -176,7 +151,7 @@ impl PointReadResults {
     }
 }
 
-/// Part 1: build the multi-run store, time reads, compact, time again.
+/// Build the multi-run store, time reads, compact, time again.
 fn point_reads(table: &mut Table, quick: bool) -> PointReadResults {
     let runs = 16usize;
     let keys_per_run = if quick { 1024 } else { 4096 };
@@ -235,13 +210,7 @@ fn point_reads(table: &mut Table, quick: bool) -> PointReadResults {
 }
 
 /// Serialise everything into the committed `BENCH_PR10.json` artifact.
-fn write_pr10_artifact(
-    path: &str,
-    quick: bool,
-    reads: &PointReadResults,
-    iws_rows: &[IngestScanStats],
-    pr8_rate: Option<f64>,
-) {
+fn write_pr10_artifact(path: &str, quick: bool, reads: &PointReadResults) {
     let sweep_json = |s: &ReadSweep, bloom: &BloomDelta| {
         format!(
             "{{\"gets\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
@@ -284,48 +253,7 @@ fn write_pr10_artifact(
         reads.p99_ratio(),
         reads.p99_ratio() <= 1.2
     ));
-    out.push_str("  },\n");
-    out.push_str("  \"ingest_while_scan_10x\": [\n");
-    for (i, r) in iws_rows.iter().enumerate() {
-        let (p50, p95, p99) = r.scan_latency_us.unwrap_or((0.0, 0.0, 0.0));
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"write_clients\": {}, \"writes_ok\": {}, \
-             \"write_reqs_per_sec\": {:.1}, \"scans_ok\": {}, \"scan_p50_us\": {:.1}, \
-             \"scan_p95_us\": {:.1}, \"scan_p99_us\": {:.1}, \"wall_ms\": {:.1}, \
-             \"lsm_seals\": {}, \"lsm_compactions\": {}}}{}\n",
-            r.engine,
-            r.write_clients,
-            r.writes_ok,
-            r.write_reqs_per_sec,
-            r.scans_ok,
-            p50,
-            p95,
-            p99,
-            r.wall_ms,
-            r.lsm_seals,
-            r.lsm_compactions,
-            if i + 1 < iws_rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    let lsm_rate = iws_rows
-        .iter()
-        .find(|r| r.engine == "lsm")
-        .map(|r| r.write_reqs_per_sec);
-    match (pr8_rate, lsm_rate) {
-        (Some(reference), Some(now)) => {
-            let ratio = now / reference.max(f64::MIN_POSITIVE);
-            out.push_str(&format!(
-                "  \"pr8_reference\": {{\"lsm_write_reqs_per_sec\": {:.1}, \
-                 \"ratio_at_10x\": {:.3}, \"within_10pct\": {}}}\n",
-                reference,
-                ratio,
-                ratio >= 0.9
-            ));
-        }
-        _ => out.push_str("  \"pr8_reference\": null\n"),
-    }
-    out.push_str("}\n");
+    out.push_str("  }\n}\n");
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("warning: could not write {path}: {e}");
     }
@@ -334,7 +262,7 @@ fn write_pr10_artifact(
 /// The N2 table.
 pub fn run(quick: bool) -> Table {
     let mut table = Table::new(
-        "N2 — LSM tiered compaction: point-read flatness + 10x ingest-while-scan",
+        "N2 — LSM tiered compaction: point-read flatness",
         &[
             "scenario", "clients", "sent", "ok", "shed", "errors", "wall_ms", "req/s", "p50_us",
             "p95_us", "p99_us",
@@ -352,32 +280,9 @@ pub fn run(quick: bool) -> Table {
         reads.single.p99_ns,
     );
 
-    // Part 2: the PR 8 scenario at 10x the write volume. Same world
-    // seed, same client/scan shape — the only change is ingest depth.
-    let (corpus, community, _memex) = standard_world(true, 0x9E7);
-    let users: Vec<u32> = community.users.iter().map(|u| u.user).collect();
-    let iws_write_rounds = if quick { 1200 } else { 4000 };
-    let iws_scan_rounds = if quick { 40 } else { 150 };
-    let mut iws_rows: Vec<IngestScanStats> = Vec::new();
-    for engine in [EngineKind::BTree, EngineKind::Lsm] {
-        ingest_while_scan(
-            &mut table,
-            &mut iws_rows,
-            engine,
-            &corpus,
-            &community,
-            &users,
-            iws_write_rounds,
-            iws_scan_rounds,
-        );
-    }
-
-    let pr8_path =
-        std::env::var("MEMEX_BENCH_PR8_PATH").unwrap_or_else(|_| "BENCH_PR8.json".to_string());
-    let pr8_rate = pr8_lsm_write_rate(&pr8_path);
     let pr10_path =
         std::env::var("MEMEX_BENCH_PR10_PATH").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
-    write_pr10_artifact(&pr10_path, quick, &reads, &iws_rows, pr8_rate);
+    write_pr10_artifact(&pr10_path, quick, &reads);
 
     table.note(&format!(
         "get rows: per-op latency percentiles in microseconds; p99 ratio multi/single = {:.3} \
@@ -386,15 +291,6 @@ pub fn run(quick: bool) -> Table {
         reads.runs_before,
         100.0 * reads.multi_bloom.skip_rate(),
     ));
-    if let (Some(reference), Some(row)) = (pr8_rate, iws_rows.iter().find(|r| r.engine == "lsm")) {
-        table.note(&format!(
-            "ingest-while-scan at 10x volume: lsm write throughput {:.1} req/s vs PR8 reference \
-             {:.1} ({:.3}x)",
-            row.write_reqs_per_sec,
-            reference,
-            row.write_reqs_per_sec / reference.max(f64::MIN_POSITIVE),
-        ));
-    }
     table.note(&format!("machine-readable artifact written to {pr10_path}"));
     table
 }

@@ -483,11 +483,6 @@ impl Memex {
     /// that have appeared \[recently\]?" — authoritative pages in/near the
     /// community's recent on-topic trail graph that the user hasn't seen.
     pub fn whats_new(&self, user: u32, folder: TopicId, since: u64, k: usize) -> Vec<(u32, f64)> {
-        // Pin the index once, up front: the sweep below walks trails and
-        // the web graph for a while, and consulting live index state that
-        // deep in would read whatever ingest happens to have half-applied
-        // by then. Everything index-derived comes from this snapshot.
-        let index_snap = self.server.index.read_snapshot().ok();
         let on_topic = self.pages_on_topic(user, folder);
         // Community's recent on-topic pages...
         let recent: Vec<u32> = self
@@ -513,32 +508,15 @@ impl Memex {
             .filter(|v| v.user == user && v.time < since)
             .map(|v| v.page)
             .collect();
-        let fresh: Vec<(u32, f64)> =
-            top_authorities(&self.server.web, &base, k + seen_before.len())
-                .into_iter()
-                .filter(|(p, _)| {
-                    // Recommend only pages the pinned index knows: a page the
-                    // expansion reached but ingest has not indexed yet would
-                    // be recommended on graph shape alone.
-                    !seen_before.contains(p)
-                        && index_snap.as_ref().is_none_or(|s| s.doc_len(*p) > 0)
-                })
-                .take(k)
-                .collect();
-        if let Some(snap) = &index_snap {
-            // Staleness in engine-state transitions (seals, compactions,
-            // writes), not wall time: how far live ingest ran ahead of
-            // the view this sweep answered from.
-            let age = self
-                .server
-                .index
-                .engine_epoch()
-                .saturating_sub(snap.epoch());
-            self.registry()
-                .gauge("demon.whatsnew.snapshot_age")
-                .set(i64::try_from(age).unwrap_or(i64::MAX));
-        }
-        fresh
+        // Recommend only pages the index knows: a page the expansion
+        // reached but ingest has not indexed yet would be recommended on
+        // graph shape alone. `&self` runs under the server's read lock, so
+        // no index write interleaves with this sweep.
+        top_authorities(&self.server.web, &base, k + seen_before.len())
+            .into_iter()
+            .filter(|(p, _)| !seen_before.contains(p) && self.server.index.doc_len(*p) > 0)
+            .take(k)
+            .collect()
     }
 
     // -- Q4: ISP bill --------------------------------------------------------

@@ -403,6 +403,10 @@ fn whats_new_excludes_seen_pages_and_ranks_authorities() {
             !seen_before.contains(page),
             "page {page} was already known to the user"
         );
+        assert!(
+            memex.server.index.doc_len(*page) > 0,
+            "page {page} is not in the index"
+        );
         assert!(*score >= 0.0);
     }
 }

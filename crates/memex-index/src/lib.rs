@@ -2,7 +2,7 @@
 //!
 //! "Apart from a standard full-text search over all pages visited…" (§2) —
 //! this crate is that search. Term-level postings live in the
-//! Berkeley-DB-style [`memex_store::KvStore`] (the paper's architectural
+//! Berkeley-DB-style [`memex_store::LsmStore`] (the paper's architectural
 //! point: term-granularity data would overwhelm the RDBMS), written in
 //! segments by the background indexer demon and merged lazily:
 //!
@@ -15,5 +15,5 @@ pub mod postings;
 pub mod query;
 pub mod search;
 
-pub use index::{IndexOptions, IndexSnapshot, InvertedIndex};
+pub use index::{IndexOptions, InvertedIndex};
 pub use search::{BoolExpr, SearchHit};

@@ -412,19 +412,16 @@ fn unknown_users_get_typed_answers_never_a_poisoned_server() {
 
 #[test]
 fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
-    // The whole stack — Memex, servlets, wire — on the LSM engine. The
-    // engine choice flows through the options chain (MemexOptions →
-    // ServerOptions → IndexOptions), queries must answer exactly as they
-    // do in-process, and the wire Stats snapshot must surface the
-    // `store.lsm.*` family the engine registers.
+    // The whole stack — Memex, servlets, wire — on the default options,
+    // whose index runs on the LSM store: queries must answer exactly as
+    // they do in-process, and the wire Stats snapshot must surface the
+    // `store.lsm.*` family the store registers.
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 2,
         pages_per_topic: 15,
         ..CorpusConfig::default()
     }));
-    let mut opts = MemexOptions::default();
-    opts.server.index.engine = memex_store::EngineKind::Lsm;
-    let mut memex = Memex::new(corpus.clone(), opts).expect("build LSM memex");
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
     memex.register_user(1, "user1").expect("register");
     for (time, &page) in (1u64..).zip(corpus.pages_of_topic(0).iter().take(8)) {
         memex.submit(ClientEvent::Visit(VisitEvent {

@@ -7,9 +7,15 @@
 //!    typed relational engine with heap tables, B+Tree primary and secondary
 //!    indexes and predicate scans;
 //! 2. a lightweight Berkeley DB storage manager for **fine-grained
-//!    term-level data** — reproduced here by [`kv`], a buffer-pooled,
-//!    page-based, WAL-protected B+Tree keyed store with range scans and
-//!    crash recovery.
+//!    term-level data** — reproduced here by [`lsm`], a WAL-backed
+//!    log-structured store (sorted memtable sealed into immutable runs,
+//!    tiered compaction, MVCC snapshots) that owns the inverted index.
+//!
+//! Each tier has exactly one engine. The metadata tier's tables and
+//! indexes sit on [`kv`], a buffer-pooled, page-based, WAL-protected
+//! B+Tree keyed store with range scans and crash recovery; the term tier
+//! runs on [`lsm`], chosen over the B+Tree because it set up faster and
+//! peaked lower in memory on every measured benchmark workload.
 //!
 //! The paper further describes "a loosely-consistent versioning system on
 //! top of the RDBMS, with a single producer (crawler) and several consumers
@@ -24,7 +30,6 @@
 
 pub mod btree;
 pub mod codec;
-pub mod engine;
 pub mod error;
 pub mod kv;
 pub mod lsm;
@@ -35,7 +40,6 @@ pub mod version;
 pub mod vfs;
 pub mod wal;
 
-pub use engine::{BTreeEngine, Engine, EngineKind, SnapshotView};
 pub use error::{StoreError, StoreResult};
 pub use kv::{KvStore, KvStoreOptions};
 pub use lsm::{LsmOptions, LsmSnapshot, LsmStore};

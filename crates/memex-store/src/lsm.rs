@@ -71,7 +71,6 @@ use std::time::Instant;
 
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::engine::{Engine, EngineKind, SnapshotView};
 use crate::error::StoreResult;
 use crate::vfs::{FileDir, MemDir, StorageDir};
 use crate::wal::{Wal, WalRecord};
@@ -98,16 +97,8 @@ pub struct LsmOptions {
 
 impl Default for LsmOptions {
     fn default() -> Self {
-        // `MEMEX_LSM_MEMTABLE_BYTES` tunes the seal budget without an API
-        // change, mirroring how `MEMEX_ENGINE` picks the engine — stores
-        // opened through the engine-neutral path get it for free.
-        let memtable_bytes = std::env::var("MEMEX_LSM_MEMTABLE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(1 << 20);
         LsmOptions {
-            memtable_bytes,
+            memtable_bytes: 1 << 20,
             compact_min_runs: 4,
             background_compaction: true,
             sync_every_append: false,
@@ -850,6 +841,48 @@ impl LsmStore {
         }
     }
 
+    /// Verify the run stack's invariants (tests / debugging).
+    pub fn check(&self) -> StoreResult<()> {
+        // Run files verify their checksum and ordering at load; the live
+        // invariants to check are the tier shape: levels non-decreasing
+        // newest-to-oldest, run ids globally unique, and ids strictly
+        // descending within each level (newer runs allocate higher ids).
+        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
+        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut prev_level: Option<u32> = None;
+        let mut prev_id_in_level: Option<u64> = None;
+        for entry in &state.runs {
+            if let Some(level) = prev_level {
+                if entry.level < level {
+                    return Err(crate::error::StoreError::Corrupt(format!(
+                        "level order violated: level {} after level {}",
+                        entry.level, level
+                    )));
+                }
+                if entry.level > level {
+                    prev_id_in_level = None;
+                }
+            }
+            if !seen.insert(entry.run.id) {
+                return Err(crate::error::StoreError::Corrupt(format!(
+                    "duplicate run id {}",
+                    entry.run.id
+                )));
+            }
+            if let Some(p) = prev_id_in_level {
+                if entry.run.id >= p {
+                    return Err(crate::error::StoreError::Corrupt(format!(
+                        "run order violated: {} after {} in level {}",
+                        entry.run.id, p, entry.level
+                    )));
+                }
+            }
+            prev_level = Some(entry.level);
+            prev_id_in_level = Some(entry.run.id);
+        }
+        Ok(())
+    }
+
     /// Expose the WAL for fault-injection in recovery experiments.
     #[doc(hidden)]
     pub fn wal_mut(&mut self) -> &mut Wal {
@@ -1286,125 +1319,6 @@ impl LsmSnapshot {
     }
 }
 
-impl SnapshotView for LsmSnapshot {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        LsmSnapshot::get(self, key)
-    }
-
-    fn for_each_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) {
-        LsmSnapshot::for_each_range(self, start, end, f);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine impl
-// ---------------------------------------------------------------------------
-
-impl Engine for LsmStore {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lsm
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> StoreResult<()> {
-        LsmStore::put(self, key, value)
-    }
-
-    fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
-        LsmStore::delete(self, key)
-    }
-
-    fn get(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
-        LsmStore::get(self, key)
-    }
-
-    fn scan(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        LsmStore::scan(self, start, end)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        LsmStore::scan_prefix(self, prefix)
-    }
-
-    fn for_each_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> StoreResult<()> {
-        LsmStore::for_each_range(self, start, end, f)
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        LsmStore::sync(self)
-    }
-
-    fn checkpoint(&mut self) -> StoreResult<()> {
-        self.seal()
-    }
-
-    fn snapshot(&self) -> StoreResult<Box<dyn SnapshotView>> {
-        Ok(Box::new(LsmStore::snapshot(self)))
-    }
-
-    fn epoch(&self) -> u64 {
-        LsmStore::epoch(self)
-    }
-
-    fn attach_registry(&mut self, registry: &MetricsRegistry) {
-        LsmStore::attach_registry(self, registry);
-    }
-
-    fn check(&mut self) -> StoreResult<()> {
-        // Run files verify their checksum and ordering at load; the live
-        // invariants to check are the tier shape: levels non-decreasing
-        // newest-to-oldest, run ids globally unique, and ids strictly
-        // descending within each level (newer runs allocate higher ids).
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut prev_level: Option<u32> = None;
-        let mut prev_id_in_level: Option<u64> = None;
-        for entry in &state.runs {
-            if let Some(level) = prev_level {
-                if entry.level < level {
-                    return Err(crate::error::StoreError::Corrupt(format!(
-                        "level order violated: level {} after level {}",
-                        entry.level, level
-                    )));
-                }
-                if entry.level > level {
-                    prev_id_in_level = None;
-                }
-            }
-            if !seen.insert(entry.run.id) {
-                return Err(crate::error::StoreError::Corrupt(format!(
-                    "duplicate run id {}",
-                    entry.run.id
-                )));
-            }
-            if let Some(p) = prev_id_in_level {
-                if entry.run.id >= p {
-                    return Err(crate::error::StoreError::Corrupt(format!(
-                        "run order violated: {} after {} in level {}",
-                        entry.run.id, p, entry.level
-                    )));
-                }
-            }
-            prev_level = Some(entry.level);
-            prev_id_in_level = Some(entry.run.id);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,7 +1420,7 @@ mod tests {
             None,
             "tier merge must not resurrect a deleted key"
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         // The final bottom merge may (and does) drop the tombstone.
         assert!(s.compact_now().unwrap());
         assert_eq!(s.run_count(), 1);
@@ -1540,14 +1454,14 @@ mod tests {
             s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
             vec![1, 1]
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         // Now the level-1 tier qualifies; merging it reaches the bottom.
         assert!(s.compact_tier_now().unwrap());
         assert_eq!(
             s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
             vec![2]
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         for round in 0..6u32 {
             let k = format!("key-{round}");
             assert_eq!(s.get(k.as_bytes()).unwrap(), Some(b"v".to_vec()));
@@ -1597,7 +1511,7 @@ mod tests {
         s.put(b"k1", b"v1").unwrap();
         s.put(b"k2", b"v2").unwrap();
         let snap = s.snapshot();
-        let epoch = SnapshotView::epoch(&snap);
+        let epoch = snap.epoch();
         // Burst: overwrite, delete, seal twice, compact.
         s.put(b"k1", b"changed").unwrap();
         s.delete(b"k2").unwrap();
@@ -1729,7 +1643,7 @@ mod tests {
             let k = format!("key-{i:04}");
             assert_eq!(s.get(k.as_bytes()).unwrap(), Some(vec![0u8; 40]));
         }
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
     }
 
     #[test]

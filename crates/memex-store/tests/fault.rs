@@ -12,11 +12,12 @@
 //! `synced ≤ p ≤ acked` — every operation covered by a sync survives, and
 //! nothing that was never acknowledged is ever resurrected.
 //!
-//! The harness is **engine-parametric**: one test body runs against both
-//! the B+Tree `KvStore` and the LSM engine through the shared [`Engine`]
-//! trait (the [`Rig`] below knows how to crash and reopen each). Engine
-//! internals — checkpoint windows for the B+Tree, seal/compaction
-//! barriers for the LSM — get their own scripted schedules on top.
+//! The harness runs one test body against both shipping stores — the
+//! metadata tier's B+Tree `KvStore` and the index's `LsmStore` — through
+//! the test-local [`Store`] enum (the [`Rig`] below knows how to crash and
+//! reopen each). Store internals — checkpoint windows for the B+Tree,
+//! seal/compaction barriers for the LSM — get their own scripted
+//! schedules on top.
 //!
 //! Run a specific schedule with `PROPTEST_SEED=<n> cargo test -p
 //! memex-store --test fault` (this is what CI's fault-matrix job does).
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use memex_obs::MetricsRegistry;
-use memex_store::engine::{BTreeEngine, Engine, EngineKind};
+use memex_store::error::StoreResult;
 use memex_store::kv::{KvStore, KvStoreOptions};
 use memex_store::lsm::{LsmOptions, LsmStore};
 use memex_store::vfs::{
@@ -111,8 +112,86 @@ fn contents(kv: &mut KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-parametric rig
+// Two-store rig
 // ---------------------------------------------------------------------------
+
+/// Which store a rig runs.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    BTree,
+    Lsm,
+}
+
+impl Kind {
+    const BOTH: [Kind; 2] = [Kind::BTree, Kind::Lsm];
+
+    fn name(self) -> &'static str {
+        match self {
+            Kind::BTree => "btree",
+            Kind::Lsm => "lsm",
+        }
+    }
+}
+
+/// Either shipping store, behind the calls the harness makes.
+enum Store {
+    BTree(KvStore),
+    Lsm(LsmStore),
+}
+
+impl Store {
+    fn put(&mut self, key: &[u8], value: &[u8]) -> StoreResult<()> {
+        match self {
+            Store::BTree(kv) => kv.put(key, value).map(drop),
+            Store::Lsm(lsm) => lsm.put(key, value),
+        }
+    }
+
+    fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
+        match self {
+            Store::BTree(kv) => kv.delete(key).map(drop),
+            Store::Lsm(lsm) => lsm.delete(key),
+        }
+    }
+
+    fn get(&mut self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
+        match self {
+            Store::BTree(kv) => kv.get(key),
+            Store::Lsm(lsm) => lsm.get(key),
+        }
+    }
+
+    fn scan_all(&mut self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        match self {
+            Store::BTree(kv) => contents(kv),
+            Store::Lsm(lsm) => lsm.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
+        }
+    }
+
+    /// Make every acked write durable (WAL fsync).
+    fn sync(&mut self) -> StoreResult<()> {
+        match self {
+            Store::BTree(kv) => kv.wal_mut().sync(),
+            Store::Lsm(lsm) => lsm.sync(),
+        }
+    }
+
+    /// Durability barrier + log truncation: the B+Tree flushes pages, the
+    /// LSM seals its memtable into a run.
+    fn checkpoint(&mut self) -> StoreResult<()> {
+        match self {
+            Store::BTree(kv) => kv.checkpoint(),
+            Store::Lsm(lsm) => lsm.seal(),
+        }
+    }
+
+    fn check(&mut self) -> StoreResult<()> {
+        match self {
+            Store::BTree(kv) => kv.check(),
+            Store::Lsm(lsm) => lsm.check(),
+        }
+    }
+}
 
 fn small_lsm_opts() -> LsmOptions {
     LsmOptions {
@@ -126,7 +205,7 @@ fn small_lsm_opts() -> LsmOptions {
     }
 }
 
-/// Where a crash lands for each engine: handles on the raw in-memory
+/// Where a crash lands for each store: handles on the raw in-memory
 /// devices, so the harness can cut power (`crash`) and reopen over the
 /// surviving bytes.
 enum CrashSite {
@@ -148,13 +227,11 @@ impl CrashSite {
         }
     }
 
-    /// Reopen the engine over whatever the crash left behind.
-    fn reopen(&self) -> Box<dyn Engine> {
+    /// Reopen the store over whatever the crash left behind.
+    fn reopen(&self) -> Store {
         match self {
-            CrashSite::BTree { wal, db } => {
-                Box::new(BTreeEngine::new(reopen(wal, db, small_opts())))
-            }
-            CrashSite::Lsm { dir, .. } => Box::new(
+            CrashSite::BTree { wal, db } => Store::BTree(reopen(wal, db, small_opts())),
+            CrashSite::Lsm { dir, .. } => Store::Lsm(
                 LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                     .expect("reopen after crash must succeed"),
             ),
@@ -162,15 +239,15 @@ impl CrashSite {
     }
 }
 
-/// One engine under test plus the crash controls for its storage.
+/// One store under test plus the crash controls for its storage.
 struct Rig {
-    engine: Box<dyn Engine>,
+    engine: Store,
     site: CrashSite,
 }
 
-fn open_rig(kind: EngineKind) -> Rig {
+fn open_rig(kind: Kind) -> Rig {
     match kind {
-        EngineKind::BTree => {
+        Kind::BTree => {
             let wal_storage = MemStorage::new();
             let wal = wal_storage.handle();
             let db_storage = MemStorage::new();
@@ -182,29 +259,29 @@ fn open_rig(kind: EngineKind) -> Rig {
             )
             .unwrap();
             Rig {
-                engine: Box::new(BTreeEngine::new(kv)),
+                engine: Store::BTree(kv),
                 site: CrashSite::BTree { wal, db },
             }
         }
-        EngineKind::Lsm => {
+        Kind::Lsm => {
             let dir = MemDir::new();
             let handle = dir.handle();
             let store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
             Rig {
-                engine: Box::new(store),
+                engine: Store::Lsm(store),
                 site: CrashSite::Lsm { dir, handle },
             }
         }
     }
 }
 
-/// Like [`open_rig`], but the engine's storage sits behind a
+/// Like [`open_rig`], but the store's storage sits behind a
 /// [`FaultControl`] script (the B+Tree faults its WAL device; the LSM
 /// faults the whole directory — WAL, runs and manifest alike). Reopening
 /// via [`CrashSite::reopen`] always goes through the unfaulted devices.
-fn open_faulty_rig(kind: EngineKind, cfg: FaultConfig) -> (Rig, FaultControl) {
+fn open_faulty_rig(kind: Kind, cfg: FaultConfig) -> (Rig, FaultControl) {
     match kind {
-        EngineKind::BTree => {
+        Kind::BTree => {
             let wal_inner = MemStorage::new();
             let wal = wal_inner.handle();
             let wal_storage = FaultyStorage::new(wal_inner, cfg);
@@ -219,13 +296,13 @@ fn open_faulty_rig(kind: EngineKind, cfg: FaultConfig) -> (Rig, FaultControl) {
             .unwrap();
             (
                 Rig {
-                    engine: Box::new(BTreeEngine::new(kv)),
+                    engine: Store::BTree(kv),
                     site: CrashSite::BTree { wal, db },
                 },
                 ctl,
             )
         }
-        EngineKind::Lsm => {
+        Kind::Lsm => {
             let dir = MemDir::new();
             let handle = dir.handle();
             let faulty = FaultyDir::new(dir.clone(), cfg);
@@ -233,7 +310,7 @@ fn open_faulty_rig(kind: EngineKind, cfg: FaultConfig) -> (Rig, FaultControl) {
             let store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
             (
                 Rig {
-                    engine: Box::new(store),
+                    engine: Store::Lsm(store),
                     site: CrashSite::Lsm { dir, handle },
                 },
                 ctl,
@@ -264,7 +341,7 @@ proptest! {
     /// Run a random op sequence, crash at an arbitrary (seeded) point in
     /// the unsynced write stream, reopen, and check prefix consistency:
     /// the recovered state is `model(p)` for some `synced <= p <= acked`.
-    /// One body, both engines — the LSM's tiny memtable budget forces
+    /// One body, both stores — the LSM's tiny memtable budget forces
     /// mid-stream auto-seals, so crashes land between WAL, run files and
     /// manifest records, not just inside the log.
     #[test]
@@ -272,7 +349,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..80),
         crash_seed in any::<u64>(),
     ) {
-        for kind in [EngineKind::BTree, EngineKind::Lsm] {
+        for kind in Kind::BOTH {
             let Rig { mut engine, site } = open_rig(kind);
 
             let mut synced = 0usize;
@@ -301,7 +378,7 @@ proptest! {
 
             let mut engine = site.reopen();
             engine.check().unwrap();
-            let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+            let recovered = engine.scan_all();
 
             prop_assert!(
                 matching_prefix(&recovered, &ops, synced).is_some(),
@@ -666,7 +743,7 @@ fn failed_append_is_not_acked_and_store_survives() {
 /// model prefix no older than the last explicit sync.
 #[test]
 fn scripted_sync_barrier_faults_stay_prefix_consistent() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
+    for kind in Kind::BOTH {
         let mut checkpoint_errors = 0u32;
         for barrier in 0..5u32 {
             for crash_seed in [3u64, 0xB44D_F00D] {
@@ -702,7 +779,7 @@ fn scripted_sync_barrier_faults_stay_prefix_consistent() {
 
                 let mut engine = site.reopen();
                 engine.check().unwrap();
-                let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+                let recovered = engine.scan_all();
                 assert!(
                     matching_prefix(&recovered, &acked, synced).is_some(),
                     "{} barrier {barrier} seed {crash_seed}: \
@@ -852,7 +929,7 @@ fn crash_mid_compaction_preserves_sealed_state() {
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-compaction crash");
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected,
@@ -923,7 +1000,7 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-tier-compaction crash");
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected,
@@ -936,7 +1013,7 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
             );
             // Retried tier merges converge without changing the state.
             while store.compact_tier_now().unwrap() {}
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected
@@ -990,7 +1067,7 @@ fn v1_runs_upgrade_to_v2_across_a_crash() {
 
         let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
             .expect("recovery must load v1 and v2 runs alike");
-        Engine::check(&mut store).unwrap();
+        store.check().unwrap();
         assert_eq!(
             store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
             expected,
@@ -1107,7 +1184,7 @@ proptest! {
                 );
             }
         }
-        Engine::check(&mut store).unwrap();
+        store.check().unwrap();
     }
 }
 
@@ -1119,13 +1196,13 @@ proptest! {
 /// (write errors, torn writes, sync failures), then crash and reopen.
 /// Failed operations are simply not acked; the recovered state must be a
 /// model prefix of the *acked* sequence — injected faults never corrupt,
-/// they only shorten. Both engines, one body: the B+Tree faults its WAL
+/// they only shorten. Both stores, one body: the B+Tree faults its WAL
 /// device, the LSM faults the whole directory, so the schedule also
 /// lands inside budget-triggered auto-seals (whose failures are
 /// deferred, never retracting an acked op).
 #[test]
 fn seeded_fault_schedule_preserves_prefix_consistency() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
+    for kind in Kind::BOTH {
         for seed in [1u64, 7, 42, 0x2000_0101] {
             let cfg = FaultConfig {
                 seed,
@@ -1175,7 +1252,7 @@ fn seeded_fault_schedule_preserves_prefix_consistency() {
 
             let mut engine = site.reopen();
             engine.check().unwrap();
-            let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+            let recovered = engine.scan_all();
             assert!(
                 matching_prefix(&recovered, &acked, 0).is_some(),
                 "{} seed {seed}: recovered state is not a prefix of the acked ops",
@@ -1235,7 +1312,7 @@ fn seeded_compaction_chaos_never_corrupts() {
 
         let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
             .expect("recovery after compaction chaos");
-        Engine::check(&mut store).unwrap();
+        store.check().unwrap();
         let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert!(
             matching_prefix(&recovered, &acked, 0).is_some(),

@@ -14,7 +14,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use memex_obs::MetricsRegistry;
-use memex_store::engine::EngineKind;
 use memex_store::lsm::{LsmOptions, LsmStore};
 
 fn burst_opts() -> LsmOptions {
@@ -117,28 +116,25 @@ fn snapshot_scans_pre_burst_state_while_ingest_and_compaction_run() {
     }
 }
 
-/// The same pinning contract through the engine-neutral trait: both
-/// engines hand out `SnapshotView`s that ignore later writes.
+/// A snapshot ignores overwrites made after it, and a seal of those
+/// overwrites into a run does not leak them into the pinned view.
 #[test]
-fn engine_snapshots_pin_their_view_for_both_engines() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
-        let mut engine = memex_store::engine::open_memory(kind).unwrap();
-        for i in 0..10u8 {
-            engine.put(&[b'k', i], &[i]).unwrap();
-        }
-        let view = engine.snapshot().unwrap();
-        for i in 0..10u8 {
-            engine.put(&[b'k', i], &[i + 100]).unwrap();
-        }
-        engine.checkpoint().unwrap();
-        for i in 0..10u8 {
-            assert_eq!(
-                view.get(&[b'k', i]),
-                Some(vec![i]),
-                "{}: snapshot leaked a later write",
-                kind.name()
-            );
-            assert_eq!(engine.get(&[b'k', i]).unwrap(), Some(vec![i + 100]));
-        }
+fn lsm_snapshot_pins_its_view_across_overwrite_and_seal() {
+    let mut store = LsmStore::open_memory().unwrap();
+    for i in 0..10u8 {
+        store.put(&[b'k', i], &[i]).unwrap();
+    }
+    let view = store.snapshot();
+    for i in 0..10u8 {
+        store.put(&[b'k', i], &[i + 100]).unwrap();
+    }
+    store.seal().unwrap();
+    for i in 0..10u8 {
+        assert_eq!(
+            view.get(&[b'k', i]),
+            Some(vec![i]),
+            "snapshot leaked a later write"
+        );
+        assert_eq!(store.get(&[b'k', i]).unwrap(), Some(vec![i + 100]));
     }
 }
