@@ -15,6 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_graph::hits::top_authorities;
@@ -141,7 +142,6 @@ impl Memex {
         self.url_to_page.get(url).copied()
     }
 
-    /// Ingest one client event (guaranteed-immediate path).
     /// The metrics registry shared by every subsystem this Memex owns.
     pub fn registry(&self) -> &memex_obs::MetricsRegistry {
         self.server.registry()
@@ -153,6 +153,7 @@ impl Memex {
         &self.tracer
     }
 
+    /// Ingest one client event (guaranteed-immediate path).
     pub fn submit(&mut self, event: ClientEvent) -> bool {
         self.server.submit(event)
     }
@@ -219,6 +220,8 @@ impl Memex {
         self.server.index.commit()?;
         let n_bookmarks = self.server.bookmarks.len();
         if self.themes_built_at_bookmarks != n_bookmarks {
+            let started = Instant::now();
+            let _trace = memex_obs::trace::span("demon.themes");
             // Documents: distinct bookmarked pages.
             let mut doc_pages: Vec<u32> = Vec::new();
             let mut doc_of_page: HashMap<u32, usize> = HashMap::new();
@@ -252,6 +255,13 @@ impl Memex {
             let themes = ThemeDiscovery::new(self.theme_opts).run(&docs, &folders);
             self.themes_cache = (themes, doc_pages);
             self.themes_built_at_bookmarks = n_bookmarks;
+            let registry = self.server.registry();
+            registry
+                .gauge("demon.themes.folders")
+                .set(folders.len() as i64);
+            registry
+                .histogram("demon.themes.rebuild")
+                .record(started.elapsed().as_micros() as u64);
         }
         Ok(())
     }

@@ -378,3 +378,50 @@ fn write_path_refreshes_query_visible_state() {
     let visits: u32 = lines.iter().map(|l| l.visits).sum();
     assert_eq!(visits, 1, "write path did not refresh query-visible state");
 }
+
+/// Every theme rebuild is visible in production metrics: a bookmark write
+/// rebuilds the community themes once (one `demon.themes.rebuild` sample,
+/// `demon.themes.folders` = F, a `demon.themes` span under the write's
+/// servlet span), a visit-only write rebuilds nothing.
+#[test]
+fn bookmark_write_records_one_theme_rebuild() {
+    let corpus = corpus();
+    let mut memex = fresh_memex(&corpus);
+    let rebuilds = |memex: &Memex| {
+        memex
+            .registry()
+            .snapshot()
+            .histogram("demon.themes.rebuild")
+            .map_or(0, |h| h.count)
+    };
+    let write = |memex: &mut Memex, request: Request| match request.classify() {
+        Classified::Write(w) => dispatch_write(memex, w),
+        Classified::Read(_) => panic!("events must classify as writes"),
+    };
+    let page = corpus.pages_of_topic(0)[0];
+    let before = rebuilds(&memex);
+    write(&mut memex, visit(&corpus, 0, page, 1));
+    assert_eq!(rebuilds(&memex), before, "a visit must not rebuild themes");
+
+    let bookmark = Request::Event(ClientEvent::Bookmark {
+        user: 0,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        folder: "/folder0".into(),
+        time: 2,
+    });
+    memex.tracer().set_enabled(true);
+    let trace = memex.tracer().start_trace("net.req", None);
+    write(&mut memex, bookmark);
+    drop(trace);
+    assert_eq!(rebuilds(&memex), before + 1, "a bookmark rebuilds once");
+    assert_eq!(memex.registry().snapshot().gauge("demon.themes.folders"), 1);
+    let traces = memex.tracer().collect(false, 1);
+    let spans = &traces.first().expect("the write was traced").spans;
+    let themes = spans
+        .iter()
+        .find(|s| s.name == "demon.themes")
+        .expect("a demon.themes span");
+    let parent = spans.iter().find(|s| Some(s.id) == themes.parent);
+    assert_eq!(parent.map(|s| s.name.as_str()), Some("event"));
+}

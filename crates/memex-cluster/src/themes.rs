@@ -182,79 +182,65 @@ impl ThemeDiscovery {
 
     /// Run over shared `docs` and all users' `folders`.
     pub fn run(&self, docs: &[SparseVec], folders: &[UserFolder]) -> Themes {
-        let normed: Vec<SparseVec> = docs
-            .iter()
-            .map(|d| {
-                let mut v = d.clone();
-                v.normalize();
-                v
-            })
-            .collect();
-        // 1. Seed candidates from folders.
-        let mut cands: Vec<Candidate> = folders
-            .iter()
-            .enumerate()
-            .map(|(fi, f)| {
-                let mut sum = SparseVec::new();
-                for &d in &f.docs {
-                    if d < normed.len() {
-                        sum.add_assign(&normed[d]);
-                    }
-                }
-                Candidate {
-                    sum,
-                    docs: f
-                        .docs
-                        .iter()
-                        .copied()
-                        .filter(|&d| d < normed.len())
-                        .collect(),
-                    users: vec![f.user],
-                    folders: vec![fi],
-                    names: vec![f.name.clone()],
-                    alive: true,
-                }
-            })
-            .collect();
-        // 2. Greedy merge: among pairs clearing the similarity threshold,
-        // take the most similar whose merge does not raise the MDL cost —
-        // i.e. the added data misfit stays below the model cost `alpha`
-        // saved by dropping one theme. For unit documents the misfit of a
-        // cluster has the closed form `|C| - ||Σd||`, so the misfit a merge
-        // adds is just `||s_A|| + ||s_B|| - ||s_A + s_B||`. This is the
-        // anti-chaining guard: as themes grow, gluing two of them together
-        // costs more, so tight same-topic folders pool while distinct
-        // topics stay apart ("individuality when they must").
+        let normed = normalized(docs);
+        let mut cands = seed_candidates(&normed, folders);
+        let merges = self.merge_candidates(&mut cands);
+        self.build(&normed, folders.len(), &cands, merges)
+    }
+
+    /// Step 2, greedy merge: among pairs clearing the similarity threshold,
+    /// take the most similar whose merge does not raise the MDL cost —
+    /// i.e. the added data misfit stays below the model cost `alpha`
+    /// saved by dropping one theme. For unit documents the misfit of a
+    /// cluster has the closed form `|C| - ||Σd||`, so the misfit a merge
+    /// adds is just `||s_A|| + ||s_B|| - ||s_A + s_B||`. This is the
+    /// anti-chaining guard: as themes grow, gluing two of them together
+    /// costs more, so tight same-topic folders pool while distinct
+    /// topics stay apart ("individuality when they must").
+    ///
+    /// Centroids and their pairwise cosines are computed once into an
+    /// F×F table; a merge changes only the surviving candidate, so only
+    /// its centroid and its row/column are recomputed (O(F) dots per
+    /// merge). Returns the number of merges.
+    fn merge_candidates(&self, cands: &mut [Candidate]) -> usize {
+        let n = cands.len();
+        let mut cent: Vec<SparseVec> = cands.iter().map(Candidate::centroid).collect();
+        // `sim[i * n + j]` for `i < j`: cosine of centroids `i` and `j`.
+        let mut sim = vec![0.0f32; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                sim[i * n + j] = cent[i].dot(&cent[j]);
+            }
+        }
         let mut merges = 0usize;
         loop {
-            let alive: Vec<usize> = (0..cands.len()).filter(|&i| cands[i].alive).collect();
+            let alive: Vec<usize> = (0..n).filter(|&i| cands[i].alive).collect();
             if alive.len() < 2 {
                 break;
             }
             let mut scored: Vec<(usize, usize, f32)> = Vec::new();
             for (ai, &i) in alive.iter().enumerate() {
-                let ci = cands[i].centroid();
                 for &j in &alive[ai + 1..] {
-                    let sim = ci.dot(&cands[j].centroid());
-                    if sim >= self.opts.merge_threshold {
-                        scored.push((i, j, sim));
+                    let s = sim[i * n + j];
+                    if s >= self.opts.merge_threshold {
+                        scored.push((i, j, s));
                     }
                 }
             }
             scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
             let mut chosen = None;
-            for &(i, j, sim) in &scored {
+            for &(i, j, _) in &scored {
                 let na = cands[i].sum.norm();
                 let nb = cands[j].sum.norm();
                 let mut merged = cands[i].sum.clone();
                 merged.add_assign(&cands[j].sum);
                 let added_misfit = f64::from(na) + f64::from(nb) - f64::from(merged.norm());
                 if added_misfit < self.opts.alpha {
-                    chosen = Some((i, j, sim));
+                    chosen = Some((i, j));
                     break;
                 }
             }
-            let Some((i, j, _sim)) = chosen else { break };
+            let Some((i, j)) = chosen else { break };
             let (lo, hi) = (i.min(j), i.max(j));
             let (head, tail) = cands.split_at_mut(hi);
             let (a, b) = (&mut head[lo], &mut tail[0]);
@@ -265,12 +251,31 @@ impl ThemeDiscovery {
             a.names.append(&mut b.names);
             b.alive = false;
             merges += 1;
+            cent[lo] = cands[lo].centroid();
+            for &k in &alive {
+                if k != lo && k != hi {
+                    let (p, q) = (lo.min(k), lo.max(k));
+                    sim[p * n + q] = cent[p].dot(&cent[q]);
+                }
+            }
         }
+        merges
+    }
+
+    /// Steps 3–4: build the taxonomy from the surviving candidates, refining
+    /// loose themes and coarsening tiny ones.
+    fn build(
+        &self,
+        normed: &[SparseVec],
+        num_folders: usize,
+        cands: &[Candidate],
+        merges: usize,
+    ) -> Themes {
         // 3. Build the taxonomy: one node per surviving candidate.
         let mut taxonomy = Taxonomy::new();
         let mut themes: Vec<Theme> = Vec::new();
-        let mut doc_theme: Vec<Option<TopicId>> = vec![None; docs.len()];
-        let mut folder_theme: Vec<TopicId> = vec![Taxonomy::ROOT; folders.len()];
+        let mut doc_theme: Vec<Option<TopicId>> = vec![None; normed.len()];
+        let mut folder_theme: Vec<TopicId> = vec![Taxonomy::ROOT; num_folders];
         let mut refines = 0usize;
         let mut coarsens = 0usize;
         for cand in cands.iter().filter(|c| c.alive) {
@@ -284,7 +289,7 @@ impl ThemeDiscovery {
                 &mut taxonomy,
                 &mut themes,
                 &mut doc_theme,
-                &normed,
+                normed,
                 node,
                 &name,
                 cand,
@@ -445,6 +450,46 @@ impl ThemeDiscovery {
     }
 }
 
+/// Unit-length copies of `docs`.
+fn normalized(docs: &[SparseVec]) -> Vec<SparseVec> {
+    docs.iter()
+        .map(|d| {
+            let mut v = d.clone();
+            v.normalize();
+            v
+        })
+        .collect()
+}
+
+/// Step 1: seed one candidate per folder, the sum of its (in-range) unit docs.
+fn seed_candidates(normed: &[SparseVec], folders: &[UserFolder]) -> Vec<Candidate> {
+    folders
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| {
+            let mut sum = SparseVec::new();
+            for &d in &f.docs {
+                if d < normed.len() {
+                    sum.add_assign(&normed[d]);
+                }
+            }
+            Candidate {
+                sum,
+                docs: f
+                    .docs
+                    .iter()
+                    .copied()
+                    .filter(|&d| d < normed.len())
+                    .collect(),
+                users: vec![f.user],
+                folders: vec![fi],
+                names: vec![f.name.clone()],
+                alive: true,
+            }
+        })
+        .collect()
+}
+
 /// Most frequent name, ties broken lexicographically.
 fn majority_name(names: &[String]) -> String {
     let mut counts: HashMap<&str, usize> = HashMap::new();
@@ -461,6 +506,218 @@ fn majority_name(names: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    impl ThemeDiscovery {
+        /// The greedy merge as it was before the pair-similarity table:
+        /// every iteration rebuilds every alive centroid for every pair.
+        /// Kept verbatim as the oracle `merge_candidates` must match.
+        fn naive_merge(&self, cands: &mut [Candidate]) -> usize {
+            let mut merges = 0usize;
+            loop {
+                let alive: Vec<usize> = (0..cands.len()).filter(|&i| cands[i].alive).collect();
+                if alive.len() < 2 {
+                    break;
+                }
+                let mut scored: Vec<(usize, usize, f32)> = Vec::new();
+                for (ai, &i) in alive.iter().enumerate() {
+                    let ci = cands[i].centroid();
+                    for &j in &alive[ai + 1..] {
+                        let sim = ci.dot(&cands[j].centroid());
+                        if sim >= self.opts.merge_threshold {
+                            scored.push((i, j, sim));
+                        }
+                    }
+                }
+                scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+                let mut chosen = None;
+                for &(i, j, sim) in &scored {
+                    let na = cands[i].sum.norm();
+                    let nb = cands[j].sum.norm();
+                    let mut merged = cands[i].sum.clone();
+                    merged.add_assign(&cands[j].sum);
+                    let added_misfit = f64::from(na) + f64::from(nb) - f64::from(merged.norm());
+                    if added_misfit < self.opts.alpha {
+                        chosen = Some((i, j, sim));
+                        break;
+                    }
+                }
+                let Some((i, j, _sim)) = chosen else { break };
+                let (lo, hi) = (i.min(j), i.max(j));
+                let (head, tail) = cands.split_at_mut(hi);
+                let (a, b) = (&mut head[lo], &mut tail[0]);
+                a.sum.add_assign(&b.sum);
+                a.docs.append(&mut b.docs);
+                a.users.append(&mut b.users);
+                a.folders.append(&mut b.folders);
+                a.names.append(&mut b.names);
+                b.alive = false;
+                merges += 1;
+            }
+            merges
+        }
+
+        /// [`ThemeDiscovery::run`] with the oracle merge.
+        fn naive_run(&self, docs: &[SparseVec], folders: &[UserFolder]) -> Themes {
+            let normed = normalized(docs);
+            let mut cands = seed_candidates(&normed, folders);
+            let merges = self.naive_merge(&mut cands);
+            self.build(&normed, folders.len(), &cands, merges)
+        }
+    }
+
+    /// Everything a surviving candidate carries, with the sum's weights
+    /// as raw bits so that "equal" means bit-identical.
+    type Survivor = (
+        Vec<usize>,
+        Vec<u32>,
+        Vec<usize>,
+        Vec<String>,
+        Vec<(u32, u32)>,
+    );
+
+    fn survivors(cands: &[Candidate]) -> Vec<(usize, Survivor)> {
+        cands
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.alive)
+            .map(|(i, c)| {
+                let sum = c
+                    .sum
+                    .entries()
+                    .iter()
+                    .map(|&(t, w)| (t, w.to_bits()))
+                    .collect();
+                let survivor = (
+                    c.docs.clone(),
+                    c.users.clone(),
+                    c.folders.clone(),
+                    c.names.clone(),
+                    sum,
+                );
+                (i, survivor)
+            })
+            .collect()
+    }
+
+    /// Random folders over `docs`: some empty, some pointing past the
+    /// doc array, and `dups` exact copies filed by another user so that
+    /// pairs tie at the same similarity.
+    fn folders_from(raw: &[(u32, u8, Vec<usize>)], dups: &[usize]) -> Vec<UserFolder> {
+        let mut folders: Vec<UserFolder> = raw
+            .iter()
+            .map(|(user, name, docs)| UserFolder {
+                user: *user,
+                name: format!("f{name}"),
+                docs: docs.clone(),
+            })
+            .collect();
+        if !folders.is_empty() {
+            for (k, &d) in dups.iter().enumerate() {
+                let mut copy = folders[d % folders.len()].clone();
+                copy.user = 100 + k as u32;
+                folders.push(copy);
+            }
+        }
+        folders
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The table-driven merge performs exactly the merges of the
+        /// pre-table loop and leaves bit-identical survivors.
+        #[test]
+        fn merge_matches_naive_oracle(
+            docs in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, 0.1f32..5.0), 1..5)
+                    .prop_map(SparseVec::from_pairs),
+                1..30,
+            ),
+            raw in proptest::collection::vec(
+                (0u32..5, 0u8..4, proptest::collection::vec(0usize..34, 0..7)),
+                0..16,
+            ),
+            dups in proptest::collection::vec(0usize..16, 0..6),
+            merge_threshold in 0.2f32..0.95,
+            alpha in 0.2f64..3.0,
+        ) {
+            let td = ThemeDiscovery::new(ThemeOptions {
+                merge_threshold,
+                alpha,
+                ..ThemeOptions::default()
+            });
+            let folders = folders_from(&raw, &dups);
+            let normed = normalized(&docs);
+            let mut fast = seed_candidates(&normed, &folders);
+            let mut naive = seed_candidates(&normed, &folders);
+            let fast_merges = td.merge_candidates(&mut fast);
+            let naive_merges = td.naive_merge(&mut naive);
+            prop_assert_eq!(fast_merges, naive_merges);
+            prop_assert_eq!(survivors(&fast), survivors(&naive));
+        }
+    }
+
+    /// The bookmarks of the F4 experiment's standard world (quick and
+    /// full, seed 44), grouped into folders as the Memex facade groups
+    /// them: whole-run output is identical under both merges. Docs are
+    /// corpus-wide tf-idf vectors; the facade weights by its archive's
+    /// IDF instead, which changes the numbers but not the merge logic.
+    #[test]
+    fn standard_world_themes_match_naive_oracle() {
+        use memex_web::corpus::{Corpus, CorpusConfig};
+        use memex_web::surfer::{Community, SurferConfig};
+
+        for quick in [true, false] {
+            let corpus = Corpus::generate(CorpusConfig {
+                num_topics: if quick { 4 } else { 8 },
+                pages_per_topic: if quick { 40 } else { 80 },
+                seed: 44,
+                ..CorpusConfig::default()
+            });
+            let community = Community::simulate(
+                &corpus,
+                &SurferConfig {
+                    num_users: if quick { 6 } else { 16 },
+                    sessions_per_user: if quick { 8 } else { 20 },
+                    seed: 44 ^ 0x5157,
+                    ..SurferConfig::default()
+                },
+            );
+            let analyzed = corpus.analyze();
+            // Distinct bookmarked pages as docs; one folder per
+            // (user, folder path), as the Memex facade builds them.
+            let mut doc_of_page: HashMap<u32, usize> = HashMap::new();
+            let mut docs: Vec<SparseVec> = Vec::new();
+            let mut by_key: HashMap<(u32, String), Vec<usize>> = HashMap::new();
+            for b in &community.bookmarks {
+                let doc = *doc_of_page.entry(b.page).or_insert_with(|| {
+                    docs.push(analyzed.tfidf[b.page as usize].clone());
+                    docs.len() - 1
+                });
+                by_key
+                    .entry((b.user, format!("/{}", b.folder)))
+                    .or_default()
+                    .push(doc);
+            }
+            let mut folders: Vec<UserFolder> = by_key
+                .into_iter()
+                .map(|((user, name), mut docs)| {
+                    docs.sort_unstable();
+                    docs.dedup();
+                    UserFolder { user, name, docs }
+                })
+                .collect();
+            folders.sort_by(|a, b| (a.user, &a.name).cmp(&(b.user, &b.name)));
+
+            let td = ThemeDiscovery::new(ThemeOptions::default());
+            let fast = td.run(&docs, &folders);
+            let naive = td.naive_run(&docs, &folders);
+            assert!(fast.merges > 0, "the world must exercise the merge");
+            assert_eq!(format!("{fast:?}"), format!("{naive:?}"));
+        }
+    }
 
     fn v(pairs: &[(u32, f32)]) -> SparseVec {
         SparseVec::from_pairs(pairs.to_vec())
