@@ -6,8 +6,9 @@
 //! vocabulary (`memex_core::servlet::{Request, Response}`) on a real
 //! socket, `std`-only:
 //!
-//! - [`wire`] — length-prefixed, checksummed, versioned binary framing
-//!   with a hand-rolled serializer for every request/response variant.
+//! - [`wire`] — length-prefixed, checksummed binary framing at one wire
+//!   version, with a hand-rolled serializer for every request/response
+//!   variant.
 //!   Typed errors, a hard frame cap, no panics on hostile bytes.
 //! - [`NetServer`] — a concurrent TCP server: fixed worker pool over a
 //!   bounded accept queue, per-request timeouts, graceful shutdown, and
@@ -20,13 +21,13 @@
 //! `net.decode.errors`) flow through the Memex's `memex-obs` registry, so
 //! `Request::Stats` over the wire reports on the wire itself.
 //!
-//! Wire v3 adds end-to-end request tracing: the client stamps a 64-bit
-//! trace id into the frame envelope ([`TraceContext`]), the server builds
-//! a span tree per request (decode → lock wait → dispatch → encode, with
-//! index/store children) into its flight recorder, and
-//! `Request::Traces` pulls the trees back over the wire. v2 peers keep
-//! working: decoders accept both versions and the server answers in the
-//! version the client spoke.
+//! Requests are traced end to end: the client stamps a 64-bit trace id
+//! into the frame envelope ([`TraceContext`]), the server builds a span
+//! tree per request (decode → lock wait → dispatch → encode, with
+//! index/store children) into its flight recorder, and `Request::Traces`
+//! pulls the trees back over the wire. There is one wire version,
+//! [`WIRE_VERSION`]: a peer speaking any other is refused with a typed
+//! error, never served in a compatibility mode.
 
 pub mod client;
 pub mod server;
@@ -34,4 +35,4 @@ pub mod wire;
 
 pub use client::{ClientConfig, MemexClient, NetError};
 pub use server::{NetServer, NetServerConfig};
-pub use wire::{FrameKind, TraceContext, WireError, MAX_PAYLOAD, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{FrameKind, TraceContext, WireError, MAX_PAYLOAD, WIRE_VERSION};

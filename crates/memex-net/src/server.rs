@@ -53,14 +53,18 @@
 //! decode → lock-acquire → dispatch → encode, annotated with
 //! `lock_wait_ns`/`lock_kind` at RwLock acquisition (and
 //! `cache_hit=true` on cache-served reads, `shed=true` on overload
-//! verdicts, `retry_of=<id>` when a v4 client marked the request as a
-//! retry of an earlier attempt). The trace id comes from the v3+ frame
-//! envelope when the client stamped one, else from the server's seeded
-//! generator; responses echo it. Completed span trees land in the served
-//! Memex's [`memex_obs::Tracer`] flight recorder (and slow log) and are
-//! served over the wire by `Request::Traces`. Responses are always framed
-//! in the wire version the client spoke, so v2/v3 clients keep working
-//! unchanged.
+//! verdicts, `retry_of=<id>` when the client marked the request as a
+//! retry of an earlier attempt). The trace id comes from the frame's
+//! extension block when the client stamped one, else from the server's
+//! seeded generator; responses echo the client's trace context. Completed
+//! span trees land in the served Memex's [`memex_obs::Tracer`] flight
+//! recorder (and slow log) and are served over the wire by
+//! `Request::Traces`.
+//!
+//! **One wire version:** a frame at any version other than
+//! [`wire::WIRE_VERSION`] — an old peer included — is a decode error like
+//! any other corruption: it gets one [`Response::Error`] naming the
+//! version, `net.decode.errors` counts it, and the connection closes.
 //!
 //! All serving stats flow through the served Memex's metrics registry
 //! (`net.conn.*`, `net.req.*`, `net.read.*`, `net.lock.wait`, `net.shed`,
@@ -404,18 +408,13 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                         shed.inc();
                         rejected.inc();
                         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                        // The client's wire version is unknown before its
-                        // first frame: answer in v2, which every client
-                        // this server supports can decode.
-                        let _ = wire::write_frame_versioned(
+                        let _ = respond(
                             &mut stream,
-                            wire::MIN_WIRE_VERSION,
-                            FrameKind::Response,
-                            &wire::encode_response(&Response::Overloaded {
+                            None,
+                            &Response::Overloaded {
                                 in_flight: shared.config.accept_queue as u32,
                                 limit: shared.config.accept_queue as u32,
-                            }),
-                            None,
+                            },
                         );
                     }
                     Err(TrySendError::Disconnected(_)) => break,
@@ -585,26 +584,14 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     }
 }
 
-/// Answer in the wire version the client spoke, echoing its trace context
-/// (v3+ frames only; the v4-only `retry_of` field is stripped for v3
-/// peers): a v2 client never sees a frame it cannot decode.
+/// Frame and write a response, echoing the request's trace context.
 fn respond(
     stream: &mut TcpStream,
-    version: u8,
     trace_ctx: Option<TraceContext>,
     resp: &Response,
 ) -> Result<(), WireError> {
-    let trace_ctx = match version {
-        0..=2 => None,
-        3 => trace_ctx.map(|t| TraceContext {
-            retry_of: None,
-            ..t
-        }),
-        _ => trace_ctx,
-    };
-    wire::write_frame_versioned(
+    wire::write_frame(
         stream,
-        version,
         FrameKind::Response,
         &wire::encode_response(resp),
         trace_ctx,
@@ -613,7 +600,7 @@ fn respond(
 
 fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     let reg = &shared.registry;
-    let frame = match wire::read_frame_meta(stream) {
+    let frame = match wire::read_frame(stream) {
         Ok(f) => f,
         Err(WireError::Io(e)) => {
             // Clean close, peer reset, or idle timeout: just drop the
@@ -625,16 +612,10 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             return Exchange::Closed;
         }
         Err(e) => {
-            // Corrupted or unversioned frame: report and close (the stream
-            // position is no longer trustworthy). The peer's version is
-            // unknown, so answer in v2 — decodable by every client.
+            // Corrupted frame or another wire version: report and close
+            // (the stream position is no longer trustworthy).
             reg.counter("net.decode.errors").inc();
-            let _ = respond(
-                stream,
-                wire::MIN_WIRE_VERSION,
-                None,
-                &Response::Error(format!("decode: {e}")),
-            );
+            let _ = respond(stream, None, &Response::Error(format!("decode: {e}")));
             return Exchange::Closed;
         }
     };
@@ -644,7 +625,6 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
         reg.counter("net.decode.errors").inc();
         let _ = respond(
             stream,
-            frame.version,
             None,
             &Response::Error("protocol: response frame sent to server".into()),
         );
@@ -652,14 +632,14 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     }
     // Root span for the whole exchange, opened before payload decode so
     // the tree covers decode → lock-acquire → dispatch → encode. The id
-    // is the client's (v3+ trace context) or minted from the server's
+    // is the client's (frame trace context) or minted from the server's
     // seeded generator; the guard publishes the completed tree to the
     // flight recorder when it drops at the end of this function.
     let trace_guard = shared
         .tracer
         .start_trace("net.req", frame.trace.map(|t| t.trace_id));
     if let Some(prev) = frame.trace.and_then(|t| t.retry_of) {
-        // A v4 client marked this as the retry of a dead attempt: link
+        // The client marked this as the retry of a dead attempt: link
         // the trees so operators can stitch the logical request together.
         trace::annotate("retry_of", prev);
     }
@@ -671,7 +651,6 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             reg.counter("net.decode.errors").inc();
             let _ = respond(
                 stream,
-                frame.version,
                 frame.trace,
                 &Response::Error(format!("decode: {e}")),
             );
@@ -698,7 +677,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             in_flight: prev.min(u32::MAX as usize) as u32,
             limit: limit.min(u32::MAX as usize) as u32,
         };
-        let wrote = respond(stream, frame.version, frame.trace, &overload);
+        let wrote = respond(stream, frame.trace, &overload);
         // Complete the (short) trace before returning: decode → shed.
         drop(trace_guard);
         return match wrote {
@@ -715,7 +694,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     let encode_started = Instant::now();
-    let wrote = respond(stream, frame.version, frame.trace, &response);
+    let wrote = respond(stream, frame.trace, &response);
     trace::record_span("net.encode", encode_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);

@@ -1,31 +1,26 @@
-//! The Memex wire format: length-prefixed, checksummed, versioned frames
-//! carrying a hand-rolled binary serialization of every
-//! [`Request`]/[`Response`] variant.
+//! The Memex wire format: length-prefixed, checksummed frames carrying a
+//! hand-rolled binary serialization of every [`Request`]/[`Response`]
+//! variant.
 //!
 //! ## Frame layout
 //!
 //! ```text
-//! +----+----+---------+------+-------------+-------+------------------+----------+
-//! | 'M'| 'X'| version | kind | len u32 LE  | ext?  | payload (len B)  | crc u32  |
-//! +----+----+---------+------+-------------+-------+------------------+----------+
-//!   magic      1 B      1 B      4 B         v3 only    ≤ 16 MiB         FNV-1a
+//! +----+----+---------+------+------------+-------+----------+-----------+-----------------+---------+
+//! | 'M'| 'X'| version | kind | len u32 LE | flags | trace id | retry_of  | payload (len B) | crc u32 |
+//! +----+----+---------+------+------------+-------+----------+-----------+-----------------+---------+
+//!   magic      1 B      1 B       4 B        1 B    u64 LE,    u64 LE,      ≤ 16 MiB        FNV-1a
+//!                                                   if bit 0   if bit 1
 //! ```
 //!
-//! Version 3+ frames carry an **extension block** between the header and
-//! the payload: one `flags` byte, followed by a `u64 LE` trace id when
-//! bit 0 ([`EXT_FLAG_TRACE`]) is set. Version 4 adds bit 1
-//! ([`EXT_FLAG_RETRY`]): a second `u64 LE` — the trace id of the
-//! *previous attempt* of the same logical request — follows the trace id,
-//! so a server can annotate a retried read's root span with `retry_of`
-//! and operators can stitch the attempts together. Flag bits a version
-//! does not define are rejected (`EXT_FLAG_RETRY` in a v3 frame is an
-//! error, as is `EXT_FLAG_RETRY` without `EXT_FLAG_TRACE`) — an extension
-//! a decoder cannot parse would desynchronize the stream, so there is
-//! nothing safe to skip. Version 2 frames have no extension block and
-//! remain byte-identical to what PR 5 shipped; decoders accept everything
-//! from [`MIN_WIRE_VERSION`] up, which is how a v2 or v3 client keeps
-//! working against a v4 server (the server mirrors the client's version
-//! in its responses).
+//! Between the header and the payload sits the **extension block**: one
+//! `flags` byte, then a `u64 LE` trace id when bit 0 ([`EXT_FLAG_TRACE`])
+//! is set, then — when bit 1 ([`EXT_FLAG_RETRY`]) is also set — the trace
+//! id of the *previous attempt* of the same logical request, so a server
+//! can annotate a retried read's root span with `retry_of` and operators
+//! can stitch the attempts together. Undefined flag bits are rejected, as
+//! is `EXT_FLAG_RETRY` without `EXT_FLAG_TRACE`: an extension a decoder
+//! cannot parse would desynchronize the stream, so there is nothing safe
+//! to skip.
 //!
 //! The CRC is FNV-1a over `version ‖ kind ‖ ext ‖ payload`, so a single
 //! flipped bit anywhere after the magic is detected. `len` counts the
@@ -35,12 +30,13 @@
 //!
 //! ## Versioning rule
 //!
-//! [`WIRE_VERSION`] bumps whenever an existing variant's encoding changes
-//! shape or the frame envelope changes (the v3 extension block);
-//! *appending* new variants (new tags) is backwards-compatible and
-//! does not bump the version. A decoder rejects frames whose version it
-//! does not know with [`WireError::UnsupportedVersion`] and unknown tags
-//! with [`WireError::BadTag`] — it never guesses.
+//! There is one wire version, [`WIRE_VERSION`], and a decoder accepts
+//! only that one. A change to an existing variant's encoding or to the
+//! frame envelope bumps it, and from then on frames from older peers are
+//! refused with [`WireError::UnsupportedVersion`]: there is no
+//! compatibility window. *Appending* new variants (new tags) does not
+//! bump the version. Unknown tags are [`WireError::BadTag`] — the decoder
+//! never guesses.
 //!
 //! Every decode path returns a typed [`WireError`]; nothing in this module
 //! panics on untrusted bytes (see `tests/corruption.rs` for the sweep that
@@ -55,28 +51,23 @@ use memex_obs::trace::{SpanData, TraceData};
 use memex_obs::{Event, HistogramSnapshot, Snapshot, NUM_BUCKETS};
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 
-/// Current wire version (see the module docs for the bump rule).
-/// v3 added the optional trace-context extension block; v4 added the
-/// optional retry-of id within it.
+/// The one wire version this crate encodes and accepts (see the module
+/// docs for the bump rule).
 pub const WIRE_VERSION: u8 = 4;
-
-/// Oldest wire version this decoder still accepts. v2 frames (no
-/// extension block) decode exactly as they did before the v3 bump.
-pub const MIN_WIRE_VERSION: u8 = 2;
 
 /// Extension flag bit: an 8-byte trace id follows the flags byte.
 pub const EXT_FLAG_TRACE: u8 = 0b0000_0001;
 
-/// Extension flag bit (v4+): an 8-byte "previous attempt" trace id
-/// follows the trace id. Only valid together with [`EXT_FLAG_TRACE`].
+/// Extension flag bit: an 8-byte "previous attempt" trace id follows the
+/// trace id. Only valid together with [`EXT_FLAG_TRACE`].
 pub const EXT_FLAG_RETRY: u8 = 0b0000_0010;
 
 /// Hard cap on a frame's payload. Anything larger is rejected before
 /// allocation with [`WireError::Oversized`].
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// Frame header bytes preceding the payload: magic (2) + version (1) +
-/// kind (1) + length (4).
+/// Frame header bytes preceding the extension block: magic (2) +
+/// version (1) + kind (1) + length (4).
 pub const HEADER_LEN: usize = 8;
 
 /// Trailing checksum bytes.
@@ -116,7 +107,7 @@ pub enum WireError {
     Io(std::io::Error),
     /// The first two bytes were not `MX`.
     BadMagic([u8; 2]),
-    /// Frame from a wire version this decoder does not speak.
+    /// Frame from a wire version other than [`WIRE_VERSION`].
     UnsupportedVersion(u8),
     /// Unknown frame-kind byte.
     BadKind(u8),
@@ -124,7 +115,7 @@ pub enum WireError {
     Oversized { len: u64, cap: u64 },
     /// The buffer ended before the structure it claims to hold.
     Truncated { needed: usize, available: usize },
-    /// FNV-1a over version+kind+payload did not match the trailer.
+    /// FNV-1a over version+kind+ext+payload did not match the trailer.
     ChecksumMismatch { expected: u32, actual: u32 },
     /// Unknown enum tag while decoding `what`.
     BadTag { what: &'static str, tag: u8 },
@@ -193,141 +184,85 @@ fn fnv1a(parts: &[&[u8]]) -> u32 {
 // Frame IO
 // ---------------------------------------------------------------------------
 
-/// Trace context carried in a v3+ frame's extension block: the 64-bit id
-/// the client stamped on the request, echoed back on the response, plus
-/// (v4, retried reads only) the id of the previous attempt so the
-/// server-side span trees of one logical request can be stitched
-/// together.
+/// Trace context carried in a frame's extension block: the 64-bit id the
+/// client stamped on the request, echoed back on the response, plus (for
+/// retried reads only) the id of the previous attempt so the server-side
+/// span trees of one logical request can be stitched together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     pub trace_id: u64,
     /// Trace id of the previous attempt of this logical request, when
-    /// this frame is a client retry (v4 frames only; v3 encoders must
-    /// pass `None`).
+    /// this frame is a client retry.
     pub retry_of: Option<u64>,
 }
 
-/// A fully decoded frame envelope: which version the peer spoke, what the
-/// frame carries, and the trace context (v3 frames only, when stamped).
+/// A decoded frame: what it carries, the trace context from its extension
+/// block (when stamped), and the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameMeta {
-    pub version: u8,
+pub struct Frame {
     pub kind: FrameKind,
     pub trace: Option<TraceContext>,
     pub payload: Vec<u8>,
 }
 
-/// Borrowed twin of [`FrameMeta`] for frames held entirely in a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameView<'a> {
-    pub version: u8,
-    pub kind: FrameKind,
-    pub trace: Option<TraceContext>,
-    pub payload: &'a [u8],
-}
-
-/// Assemble a complete frame (header + payload + checksum) in memory at
-/// the current wire version, with no trace context.
-pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    frame_bytes_versioned(WIRE_VERSION, kind, payload, None)
-}
-
-/// Assemble a frame at an explicit wire version. A server answers in the
-/// version the client spoke; v2 frames cannot carry a trace context
-/// (callers must pass `None`).
-pub fn frame_bytes_versioned(
-    version: u8,
-    kind: FrameKind,
-    payload: &[u8],
-    trace: Option<TraceContext>,
-) -> Vec<u8> {
-    assert!(
-        (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version),
-        "cannot encode wire version {version}"
-    );
+/// Assemble a complete frame (header + extension block + payload +
+/// checksum) in memory.
+pub fn frame_bytes(kind: FrameKind, payload: &[u8], trace: Option<TraceContext>) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "encoder produced oversized payload"
     );
-    debug_assert!(
-        version >= 3 || trace.is_none(),
-        "v2 frames cannot carry a trace context"
-    );
-    debug_assert!(
-        version >= 4 || trace.is_none_or(|t| t.retry_of.is_none()),
-        "v3 frames cannot carry a retry-of id"
-    );
-    let mut ext: Vec<u8> = Vec::with_capacity(17);
-    if version >= 3 {
-        match trace {
-            Some(t) => {
-                // A v3 encoder has no bit for retry_of; drop it rather
-                // than emit a frame the peer must reject.
-                let retry = if version >= 4 { t.retry_of } else { None };
-                let mut flags = EXT_FLAG_TRACE;
-                if retry.is_some() {
-                    flags |= EXT_FLAG_RETRY;
-                }
-                ext.push(flags);
-                ext.extend_from_slice(&t.trace_id.to_le_bytes());
-                if let Some(prev) = retry {
-                    ext.extend_from_slice(&prev.to_le_bytes());
-                }
-            }
-            None => ext.push(0),
-        }
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + ext.len() + payload.len() + TRAILER_LEN);
+    let mut out = Vec::with_capacity(HEADER_LEN + 17 + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(WIRE_VERSION);
     out.push(kind.to_byte());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ext);
+    match trace {
+        Some(t) => {
+            let mut flags = EXT_FLAG_TRACE;
+            if t.retry_of.is_some() {
+                flags |= EXT_FLAG_RETRY;
+            }
+            out.push(flags);
+            out.extend_from_slice(&t.trace_id.to_le_bytes());
+            if let Some(prev) = t.retry_of {
+                out.extend_from_slice(&prev.to_le_bytes());
+            }
+        }
+        None => out.push(0),
+    }
     out.extend_from_slice(payload);
-    out.extend_from_slice(
-        &fnv1a(&[&[version, kind.to_byte()], ext.as_slice(), payload]).to_le_bytes(),
-    );
+    let ext_and_payload = out.get(HEADER_LEN..).unwrap_or(&[]);
+    let crc = fnv1a(&[&[WIRE_VERSION, kind.to_byte()], ext_and_payload]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
 /// Write one frame to a stream.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), WireError> {
-    w.write_all(&frame_bytes(kind, payload))?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one frame at an explicit version/trace context.
-pub fn write_frame_versioned(
+pub fn write_frame(
     w: &mut impl Write,
-    version: u8,
     kind: FrameKind,
     payload: &[u8],
     trace: Option<TraceContext>,
 ) -> Result<(), WireError> {
-    w.write_all(&frame_bytes_versioned(version, kind, payload, trace))?;
+    w.write_all(&frame_bytes(kind, payload, trace))?;
     w.flush()?;
     Ok(())
 }
 
-/// Reject extension-flag bits the *sender's* version does not define. An
-/// unknown extension changes the framing, so skipping is never safe; a
-/// v3 frame claiming the v4-only retry bit is equally malformed, as is a
-/// retry-of id with no trace id for it to qualify.
-fn validate_ext_flags(flags: u8, version: u8) -> Result<(), WireError> {
-    let known = if version >= 4 {
-        EXT_FLAG_TRACE | EXT_FLAG_RETRY
-    } else {
-        EXT_FLAG_TRACE
-    };
+/// Check an extension flags byte and return the length of the extension
+/// block it announces (the flags byte included). Undefined bits are
+/// rejected — an unknown extension changes the framing, so skipping is
+/// never safe — as is a retry-of id with no trace id for it to qualify.
+fn validate_ext_flags(flags: u8) -> Result<usize, WireError> {
     let orphan_retry = flags & EXT_FLAG_RETRY != 0 && flags & EXT_FLAG_TRACE == 0;
-    if flags & !known != 0 || orphan_retry {
+    if flags & !(EXT_FLAG_TRACE | EXT_FLAG_RETRY) != 0 || orphan_retry {
         return Err(WireError::BadTag {
             what: "frame extension flags",
             tag: flags,
         });
     }
-    Ok(())
+    Ok(1 + 8 * flags.count_ones() as usize)
 }
 
 /// Copy a slice's first 4 bytes into an array without a panicking
@@ -353,130 +288,86 @@ fn arr8(b: &[u8]) -> Result<[u8; 8], WireError> {
     }
 }
 
-/// Read one frame from a stream, enforcing the size cap *before*
-/// allocating the payload buffer and verifying the checksum after.
-pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), WireError> {
-    let meta = read_frame_meta(r)?;
-    Ok((meta.kind, meta.payload))
-}
-
-/// [`read_frame`] exposing the full envelope: wire version and trace
-/// context alongside kind and payload.
-pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
+/// Read one frame from a stream. The size cap is enforced from the header
+/// alone, before the payload buffer is allocated; the rest of the frame
+/// (extension block, payload, checksum) is then read in one go and checked
+/// by [`decode_frame`].
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (version, kind, len) = parse_header(&header)?;
-    let mut ext: Vec<u8> = Vec::with_capacity(17);
-    let mut trace = None;
-    if version >= 3 {
-        let mut flags = [0u8; 1];
-        r.read_exact(&mut flags)?;
-        let [flag_byte] = flags;
-        validate_ext_flags(flag_byte, version)?;
-        ext.push(flag_byte);
-        if flag_byte & EXT_FLAG_TRACE != 0 {
-            let mut id = [0u8; 8];
-            r.read_exact(&mut id)?;
-            ext.extend_from_slice(&id);
-            let mut retry_of = None;
-            if flag_byte & EXT_FLAG_RETRY != 0 {
-                let mut prev = [0u8; 8];
-                r.read_exact(&mut prev)?;
-                retry_of = Some(u64::from_le_bytes(prev));
-                ext.extend_from_slice(&prev);
-            }
-            trace = Some(TraceContext {
-                trace_id: u64::from_le_bytes(id),
-                retry_of,
-            });
-        }
+    let (_, len) = parse_header(&header)?;
+    let mut flags = [0u8; 1];
+    r.read_exact(&mut flags)?;
+    let [flag_byte] = flags;
+    let total = HEADER_LEN + validate_ext_flags(flag_byte)? + len + TRAILER_LEN;
+    let mut buf = Vec::with_capacity(total);
+    buf.extend_from_slice(&header);
+    buf.push(flag_byte);
+    buf.resize(total, 0);
+    if let Some(rest) = buf.get_mut(HEADER_LEN + 1..) {
+        r.read_exact(rest)?;
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    r.read_exact(&mut trailer)?;
-    check_crc(&header, &ext, &payload, trailer)?;
-    Ok(FrameMeta {
-        version,
-        kind,
-        trace,
-        payload,
-    })
+    decode_frame(&buf)
 }
 
-/// Decode a frame held entirely in `buf`. Unlike [`read_frame`], the buffer
-/// must contain *exactly* one frame: short buffers are
+/// Decode a frame held entirely in `buf` — the one place the envelope
+/// (magic, version, kind, size cap, extension flags, checksum) is checked.
+/// The buffer must contain *exactly* one frame: short buffers are
 /// [`WireError::Truncated`], long ones [`WireError::TrailingBytes`].
-pub fn decode_frame(buf: &[u8]) -> Result<(FrameKind, &[u8]), WireError> {
-    let view = decode_frame_meta(buf)?;
-    Ok((view.kind, view.payload))
-}
-
-/// [`decode_frame`] exposing the full envelope.
-pub fn decode_frame_meta(buf: &[u8]) -> Result<FrameView<'_>, WireError> {
+pub fn decode_frame(buf: &[u8]) -> Result<Frame, WireError> {
     let header = arr8(buf)?;
-    let (version, kind, len) = parse_header(&header)?;
-    let mut ext_len = 0usize;
-    let mut trace = None;
-    if version >= 3 {
-        let flags = *buf.get(HEADER_LEN).ok_or(WireError::Truncated {
-            needed: HEADER_LEN + 1,
-            available: buf.len(),
-        })?;
-        validate_ext_flags(flags, version)?;
-        ext_len = 1;
-        if flags & EXT_FLAG_TRACE != 0 {
-            let id = arr8(buf.get(HEADER_LEN + 1..).unwrap_or(&[]))?;
-            ext_len = 9;
-            let mut retry_of = None;
-            if flags & EXT_FLAG_RETRY != 0 {
-                let prev = arr8(buf.get(HEADER_LEN + 9..).unwrap_or(&[]))?;
-                retry_of = Some(u64::from_le_bytes(prev));
-                ext_len = 17;
-            }
-            trace = Some(TraceContext {
-                trace_id: u64::from_le_bytes(id),
-                retry_of,
-            });
-        }
-    }
+    let (kind, len) = parse_header(&header)?;
+    let flags = *buf.get(HEADER_LEN).ok_or(WireError::Truncated {
+        needed: HEADER_LEN + 1,
+        available: buf.len(),
+    })?;
+    let ext_len = validate_ext_flags(flags)?;
     let total = HEADER_LEN + ext_len + len + TRAILER_LEN;
+    if buf.len() > total {
+        return Err(WireError::TrailingBytes(buf.len() - total));
+    }
     if buf.len() < total {
         return Err(WireError::Truncated {
             needed: total,
             available: buf.len(),
         });
     }
-    if buf.len() > total {
-        return Err(WireError::TrailingBytes(buf.len() - total));
-    }
-    let truncated = WireError::Truncated {
-        needed: total,
-        available: buf.len(),
-    };
-    let ext = buf.get(HEADER_LEN..HEADER_LEN + ext_len).ok_or(truncated)?;
+    let ext = buf.get(HEADER_LEN..HEADER_LEN + ext_len).unwrap_or(&[]);
     let payload = buf
-        .get(HEADER_LEN + ext_len..HEADER_LEN + ext_len + len)
-        .ok_or(WireError::Truncated {
-            needed: total,
-            available: buf.len(),
-        })?;
-    let trailer = arr4(buf.get(HEADER_LEN + ext_len + len..).unwrap_or(&[]))?;
-    check_crc(&header, ext, payload, trailer)?;
-    Ok(FrameView {
-        version,
+        .get(HEADER_LEN + ext_len..total - TRAILER_LEN)
+        .unwrap_or(&[]);
+    let trailer = arr4(buf.get(total - TRAILER_LEN..).unwrap_or(&[]))?;
+    let expected = u32::from_le_bytes(trailer);
+    let actual = fnv1a(&[&[WIRE_VERSION, kind.to_byte()], ext, payload]);
+    if expected != actual {
+        return Err(WireError::ChecksumMismatch { expected, actual });
+    }
+    let id_at = |at: usize| arr8(ext.get(at..).unwrap_or(&[])).map(u64::from_le_bytes);
+    let trace = if flags & EXT_FLAG_TRACE != 0 {
+        Some(TraceContext {
+            trace_id: id_at(1)?,
+            retry_of: (flags & EXT_FLAG_RETRY != 0)
+                .then(|| id_at(9))
+                .transpose()?,
+        })
+    } else {
+        None
+    };
+    Ok(Frame {
         kind,
         trace,
-        payload,
+        payload: payload.to_vec(),
     })
 }
 
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, FrameKind, usize), WireError> {
+/// Check magic, version, kind and the size cap; return kind and payload
+/// length.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize), WireError> {
     let [m0, m1, version, kind, l0, l1, l2, l3] = *header;
     if [m0, m1] != MAGIC {
         return Err(WireError::BadMagic([m0, m1]));
     }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = FrameKind::from_byte(kind)?;
@@ -487,22 +378,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, FrameKind, usize), Wir
             cap: MAX_PAYLOAD as u64,
         });
     }
-    Ok((version, kind, len))
-}
-
-fn check_crc(
-    header: &[u8; HEADER_LEN],
-    ext: &[u8],
-    payload: &[u8],
-    trailer: [u8; TRAILER_LEN],
-) -> Result<(), WireError> {
-    let [_, _, version, kind, ..] = *header;
-    let expected = u32::from_le_bytes(trailer);
-    let actual = fnv1a(&[&[version, kind], ext, payload]);
-    if expected != actual {
-        return Err(WireError::ChecksumMismatch { expected, actual });
-    }
-    Ok(())
+    Ok((kind, len))
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,12 +1112,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 /// Frame and write a request.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
-    write_frame(w, FrameKind::Request, &encode_request(req))
+    write_frame(w, FrameKind::Request, &encode_request(req), None)
 }
 
 /// Frame and write a response.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    write_frame(w, FrameKind::Response, &encode_response(resp))
+    write_frame(w, FrameKind::Response, &encode_response(resp), None)
 }
 
 #[cfg(test)]
@@ -1251,15 +1127,16 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let payload = encode_request(&Request::Stats);
-        let frame = frame_bytes(FrameKind::Request, &payload);
-        let (kind, decoded) = decode_frame(&frame).expect("roundtrip");
-        assert_eq!(kind, FrameKind::Request);
-        assert_eq!(decoded, &payload[..]);
+        let frame = frame_bytes(FrameKind::Request, &payload, None);
+        let decoded = decode_frame(&frame).expect("roundtrip");
+        assert_eq!(decoded.kind, FrameKind::Request);
+        assert_eq!(decoded.trace, None);
+        assert_eq!(decoded.payload, payload);
     }
 
     #[test]
     fn oversized_length_rejected_before_allocation() {
-        let mut frame = frame_bytes(FrameKind::Request, &encode_request(&Request::Stats));
+        let mut frame = frame_bytes(FrameKind::Request, &encode_request(&Request::Stats), None);
         frame[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_frame(&frame),
@@ -1308,117 +1185,98 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_roundtrips_in_v3_frames() {
+    fn trace_context_and_retry_of_roundtrip() {
         let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            retry_of: None,
-        };
-        let frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        let view = decode_frame_meta(&frame).expect("decode");
-        assert_eq!(view.version, 3);
-        assert_eq!(view.trace, Some(ctx));
-        assert_eq!(view.payload, &payload[..]);
-        // Stream path agrees.
-        let mut cursor = std::io::Cursor::new(frame);
-        let meta = read_frame_meta(&mut cursor).expect("read");
-        assert_eq!(meta.trace, Some(ctx));
-        assert_eq!(meta.payload, payload);
+        for retry_of in [None, Some(0x0123_4567_89AB_CDEF)] {
+            let ctx = TraceContext {
+                trace_id: 0xDEAD_BEEF_CAFE_F00D,
+                retry_of,
+            };
+            let frame = frame_bytes(FrameKind::Request, &payload, Some(ctx));
+            let decoded = decode_frame(&frame).expect("decode");
+            assert_eq!(decoded.trace, Some(ctx));
+            assert_eq!(decoded.payload, payload);
+            // Stream path agrees.
+            let mut cursor = std::io::Cursor::new(frame);
+            assert_eq!(read_frame(&mut cursor).expect("read"), decoded);
+        }
     }
 
-    #[test]
-    fn retry_of_roundtrips_in_v4_frames() {
-        let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            retry_of: Some(0x0123_4567_89AB_CDEF),
-        };
-        let frame = frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, Some(ctx));
-        let view = decode_frame_meta(&frame).expect("decode");
-        assert_eq!(view.version, WIRE_VERSION);
-        assert_eq!(view.trace, Some(ctx));
-        assert_eq!(view.payload, &payload[..]);
-        let mut cursor = std::io::Cursor::new(frame);
-        let meta = read_frame_meta(&mut cursor).expect("read");
-        assert_eq!(meta.trace, Some(ctx));
-        assert_eq!(meta.payload, payload);
-    }
-
-    #[test]
-    fn retry_flag_rejected_in_v3_frames_and_without_trace() {
-        let payload = encode_request(&Request::Stats);
-        // A v3 frame claiming the v4-only retry bit is malformed (the CRC
-        // must be recomputed so the flag byte, not the checksum, trips).
-        let ctx = TraceContext {
-            trace_id: 7,
-            retry_of: None,
-        };
-        let mut frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        frame[HEADER_LEN] |= EXT_FLAG_RETRY;
+    /// Overwrite the flags byte and re-seal the checksum, so the flags
+    /// check — not the CRC — is what must trip.
+    fn with_flags(mut frame: Vec<u8>, flags: u8) -> Vec<u8> {
+        frame[HEADER_LEN] = flags;
         let crc_start = frame.len() - TRAILER_LEN;
-        let crc = fnv1a(&[&frame[2..crc_start]]).to_le_bytes();
+        let crc = fnv1a(&[&frame[2..4], &frame[HEADER_LEN..crc_start]]).to_le_bytes();
         frame[crc_start..].copy_from_slice(&crc);
-        assert!(matches!(
-            decode_frame_meta(&frame),
-            Err(WireError::BadTag {
-                what: "frame extension flags",
-                ..
-            })
-        ));
-        // And a retry-of id with no trace id to qualify is malformed in
-        // any version.
-        let mut frame = frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, None);
-        frame[HEADER_LEN] = EXT_FLAG_RETRY;
-        let crc_start = frame.len() - TRAILER_LEN;
-        let crc = fnv1a(&[&frame[2..crc_start]]).to_le_bytes();
-        frame[crc_start..].copy_from_slice(&crc);
-        assert!(matches!(
-            decode_frame_meta(&frame),
-            Err(WireError::BadTag {
-                what: "frame extension flags",
-                ..
-            })
-        ));
+        frame
     }
 
     #[test]
-    fn v3_ext_block_layout_is_unchanged_by_the_v4_bump() {
+    fn orphan_retry_flag_rejected() {
+        // A retry-of id with no trace id to qualify is malformed.
         let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 11,
-            retry_of: None,
-        };
-        let frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        // v3 ext block: flags byte + 8-byte trace id, nothing more.
-        assert_eq!(
-            frame.len(),
-            HEADER_LEN + 9 + payload.len() + TRAILER_LEN,
-            "v3 frame must not grow a retry-of field"
+        let frame = with_flags(
+            frame_bytes(FrameKind::Request, &payload, None),
+            EXT_FLAG_RETRY,
         );
+        assert!(matches!(
+            decode_frame(&frame),
+            Err(WireError::BadTag {
+                what: "frame extension flags",
+                ..
+            })
+        ));
     }
 
+    /// Golden bytes for one traced and one retried frame. Peers of another
+    /// version are refused outright, so any change to these bytes must
+    /// come with a `WIRE_VERSION` bump.
     #[test]
-    fn v2_frames_still_decode_and_carry_no_trace() {
-        let payload = encode_request(&Request::Stats);
-        let frame = frame_bytes_versioned(2, FrameKind::Request, &payload, None);
-        // Byte-identical to the pre-v3 layout: header, payload, crc.
-        assert_eq!(frame.len(), HEADER_LEN + payload.len() + TRAILER_LEN);
-        let view = decode_frame_meta(&frame).expect("decode v2");
-        assert_eq!(view.version, 2);
-        assert_eq!(view.trace, None);
-        assert_eq!(view.payload, &payload[..]);
-        let (kind, decoded) = decode_frame(&frame).expect("plain decode");
-        assert_eq!(kind, FrameKind::Request);
-        assert_eq!(decoded, &payload[..]);
+    fn traced_and_retried_frame_bytes_are_golden() {
+        let traced = frame_bytes(
+            FrameKind::Request,
+            &encode_request(&Request::Stats),
+            Some(TraceContext {
+                trace_id: 0x0123_4567_89AB_CDEF,
+                retry_of: None,
+            }),
+        );
+        assert_eq!(
+            traced,
+            [
+                0x4d, 0x58, 0x04, 0x00, 0x01, 0x00, 0x00, 0x00, // header
+                0x01, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, // ext
+                0x0a, // payload
+                0x76, 0xd0, 0xca, 0xf3, // crc
+            ]
+        );
+        let retried = frame_bytes(
+            FrameKind::Response,
+            &encode_response(&Response::Ack { archived: true }),
+            Some(TraceContext {
+                trace_id: 0x1122_3344_5566_7788,
+                retry_of: Some(0x99AA_BBCC_DDEE_FF00),
+            }),
+        );
+        assert_eq!(
+            retried,
+            [
+                0x4d, 0x58, 0x04, 0x01, 0x02, 0x00, 0x00, 0x00, // header
+                0x03, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // ext: flags, id
+                0x00, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, // ext: retry_of
+                0x00, 0x01, // payload
+                0x14, 0x79, 0xdf, 0x53, // crc
+            ]
+        );
     }
 
     #[test]
     fn unknown_extension_flags_rejected() {
         let payload = encode_request(&Request::Stats);
-        let mut frame = frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, None);
-        frame[HEADER_LEN] = 0x82; // unknown high bits
+        let frame = with_flags(frame_bytes(FrameKind::Request, &payload, None), 0x82);
         assert!(matches!(
-            decode_frame_meta(&frame),
+            decode_frame(&frame),
             Err(WireError::BadTag {
                 what: "frame extension flags",
                 ..
@@ -1429,11 +1287,17 @@ mod tests {
     #[test]
     fn unknown_versions_rejected() {
         let payload = encode_request(&Request::Stats);
-        let mut frame = frame_bytes(FrameKind::Request, &payload);
-        for bad in [0u8, 1, WIRE_VERSION + 1, 255] {
+        let mut frame = frame_bytes(FrameKind::Request, &payload, None);
+        // 2 and 3 are the retired versions: refused, not decoded.
+        for bad in [0u8, 1, 2, 3, WIRE_VERSION + 1, 255] {
             frame[2] = bad;
             assert!(matches!(
-                decode_frame_meta(&frame),
+                decode_frame(&frame),
+                Err(WireError::UnsupportedVersion(v)) if v == bad
+            ));
+            let mut cursor = std::io::Cursor::new(frame.clone());
+            assert!(matches!(
+                read_frame(&mut cursor),
                 Err(WireError::UnsupportedVersion(v)) if v == bad
             ));
         }

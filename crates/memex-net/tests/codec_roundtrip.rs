@@ -356,10 +356,10 @@ proptest! {
         let back = wire::decode_request(&payload).expect("decode own encoding");
         prop_assert_eq!(&req, &back);
         // And through the full checksummed frame.
-        let frame = wire::frame_bytes(wire::FrameKind::Request, &payload);
-        let (kind, framed) = wire::decode_frame(&frame).expect("decode own frame");
-        prop_assert_eq!(kind, wire::FrameKind::Request);
-        prop_assert_eq!(framed, &payload[..]);
+        let frame = wire::frame_bytes(wire::FrameKind::Request, &payload, None);
+        let framed = wire::decode_frame(&frame).expect("decode own frame");
+        prop_assert_eq!(framed.kind, wire::FrameKind::Request);
+        prop_assert_eq!(framed.payload, payload);
     }
 
     #[test]
@@ -367,40 +367,22 @@ proptest! {
         let payload = wire::encode_response(&resp);
         let back = wire::decode_response(&payload).expect("decode own encoding");
         prop_assert_eq!(&resp, &back);
-        let frame = wire::frame_bytes(wire::FrameKind::Response, &payload);
-        let (kind, framed) = wire::decode_frame(&frame).expect("decode own frame");
-        prop_assert_eq!(kind, wire::FrameKind::Response);
-        prop_assert_eq!(framed, &payload[..]);
+        let frame = wire::frame_bytes(wire::FrameKind::Response, &payload, None);
+        let framed = wire::decode_frame(&frame).expect("decode own frame");
+        prop_assert_eq!(framed.kind, wire::FrameKind::Response);
+        prop_assert_eq!(framed.payload, payload);
     }
 
     #[test]
     fn traced_frame_roundtrips(req in arb_request(), trace_id in any::<u64>(), retry_of in prop_oneof![Just(None), any::<u64>().prop_map(Some)]) {
-        // A current-version frame carrying a trace context (optionally a
-        // retry-of id) decodes back to the same payload and the same
-        // context; a v2 frame of the same payload decodes with no trace
-        // attached.
+        // A frame carrying a trace context (optionally a retry-of id)
+        // decodes back to the same payload and the same context.
         let payload = wire::encode_request(&req);
         let ctx = wire::TraceContext { trace_id, retry_of };
-        let v3 = wire::frame_bytes_versioned(
-            wire::WIRE_VERSION,
-            wire::FrameKind::Request,
-            &payload,
-            Some(ctx),
-        );
-        let meta = wire::decode_frame_meta(&v3).expect("decode v3 frame");
-        prop_assert_eq!(meta.version, wire::WIRE_VERSION);
-        prop_assert_eq!(meta.trace, Some(ctx));
-        prop_assert_eq!(&meta.payload, &payload);
-        let v2 = wire::frame_bytes_versioned(
-            wire::MIN_WIRE_VERSION,
-            wire::FrameKind::Request,
-            &payload,
-            None,
-        );
-        let meta = wire::decode_frame_meta(&v2).expect("decode v2 frame");
-        prop_assert_eq!(meta.version, wire::MIN_WIRE_VERSION);
-        prop_assert_eq!(meta.trace, None);
-        prop_assert_eq!(&meta.payload, &payload);
+        let frame = wire::frame_bytes(wire::FrameKind::Request, &payload, Some(ctx));
+        let decoded = wire::decode_frame(&frame).expect("decode traced frame");
+        prop_assert_eq!(decoded.trace, Some(ctx));
+        prop_assert_eq!(&decoded.payload, &payload);
     }
 
     #[test]
@@ -413,9 +395,9 @@ proptest! {
         }
         let mut cursor = std::io::Cursor::new(buf);
         for req in &reqs {
-            let (kind, payload) = wire::read_frame(&mut cursor).expect("read frame");
-            prop_assert_eq!(kind, wire::FrameKind::Request);
-            prop_assert_eq!(req, &wire::decode_request(&payload).expect("decode"));
+            let frame = wire::read_frame(&mut cursor).expect("read frame");
+            prop_assert_eq!(frame.kind, wire::FrameKind::Request);
+            prop_assert_eq!(req, &wire::decode_request(&frame.payload).expect("decode"));
         }
     }
 }

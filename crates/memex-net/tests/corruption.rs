@@ -1,13 +1,15 @@
 //! Decoder corruption sweep, in the spirit of `memex-store`'s
-//! `tests/fault.rs`: take valid frames, then truncate at every byte offset
-//! and flip every single bit, and assert the decoder returns a typed error
-//! every time — it never panics, and never reads past the declared frame
-//! cap. Random junk payloads are also thrown at the payload decoders.
+//! `tests/fault.rs`: take valid frames — untraced, traced and retried, so
+//! the extension block is 1, 9 and 17 bytes long — then truncate at every
+//! byte offset and flip every single bit, and assert the decoder returns a
+//! typed error every time — it never panics, and never reads past the
+//! declared frame cap. Random junk payloads are also thrown at the payload
+//! decoders.
 
 use proptest::prelude::*;
 
 use memex_core::servlet::{Request, Response};
-use memex_net::wire::{self, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD};
+use memex_net::wire::{self, FrameKind, TraceContext, WireError, HEADER_LEN, MAX_PAYLOAD};
 use memex_obs::Snapshot;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 
@@ -79,10 +81,33 @@ fn fixtures() -> Vec<(FrameKind, Vec<u8>)> {
     ]
 }
 
+/// Every fixture framed three ways: no trace context (1-byte extension
+/// block), a trace id (9 bytes) and a trace id plus `retry_of` (17 bytes),
+/// so the sweeps below cut and flip bytes inside both ids too.
+fn frames() -> Vec<Vec<u8>> {
+    let contexts = [
+        None,
+        Some(TraceContext {
+            trace_id: 0xDEAD_BEEF_CAFE_F00D,
+            retry_of: None,
+        }),
+        Some(TraceContext {
+            trace_id: 0x0123_4567_89AB_CDEF,
+            retry_of: Some(0xFEDC_BA98_7654_3210),
+        }),
+    ];
+    let mut out = Vec::new();
+    for (kind, payload) in fixtures() {
+        for trace in contexts {
+            out.push(wire::frame_bytes(kind, &payload, trace));
+        }
+    }
+    out
+}
+
 #[test]
 fn truncation_at_every_offset_errors() {
-    for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+    for frame in frames() {
         for cut in 0..frame.len() {
             let result = wire::decode_frame(&frame[..cut]);
             assert!(
@@ -96,11 +121,11 @@ fn truncation_at_every_offset_errors() {
 
 #[test]
 fn bit_flip_at_every_offset_errors() {
-    // The checksum covers version ‖ kind ‖ payload, the magic check covers
-    // the first two bytes, and a flipped length can no longer match the
-    // buffer size — so *every* single-bit corruption must surface as Err.
-    for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+    // The checksum covers version ‖ kind ‖ ext ‖ payload, the magic check
+    // covers the first two bytes, and a flipped length can no longer match
+    // the buffer size — so *every* single-bit corruption must surface as
+    // Err, from the buffer decoder and the stream reader alike.
+    for frame in frames() {
         for i in 0..frame.len() {
             for bit in 0..8 {
                 let mut bad = frame.clone();
@@ -111,6 +136,12 @@ fn bit_flip_at_every_offset_errors() {
                     "flip of bit {bit} at byte {i}/{} decoded successfully",
                     frame.len()
                 );
+                let mut cursor = std::io::Cursor::new(bad);
+                assert!(
+                    wire::read_frame(&mut cursor).is_err(),
+                    "flip of bit {bit} at byte {i}/{} read successfully",
+                    frame.len()
+                );
             }
         }
     }
@@ -118,8 +149,7 @@ fn bit_flip_at_every_offset_errors() {
 
 #[test]
 fn truncated_stream_reads_error_and_stop_at_cap() {
-    for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+    for frame in frames() {
         for cut in 0..frame.len() {
             let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
             assert!(wire::read_frame(&mut cursor).is_err());

@@ -193,7 +193,7 @@ fn zero_capacity_sheds_every_request_explicitly() {
             Response::Overloaded { limit, .. } => assert_eq!(limit, 0),
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        shed_ids.push(client.last_trace_id().expect("v4 client stamps ids"));
+        shed_ids.push(client.last_trace_id().expect("the client stamps ids"));
     }
     let memex = server.shutdown();
     let snap = memex.registry().snapshot();
@@ -233,9 +233,9 @@ fn garbage_frames_get_an_error_frame_then_close() {
     raw.write_all(b"not a memex frame at all......................")
         .expect("write garbage");
     // The server answers with a typed Error response frame, then closes.
-    let (kind, payload) = memex_net::wire::read_frame(&mut raw).expect("error frame back");
-    assert_eq!(kind, memex_net::FrameKind::Response);
-    match memex_net::wire::decode_response(&payload).expect("decode error frame") {
+    let frame = memex_net::wire::read_frame(&mut raw).expect("error frame back");
+    assert_eq!(frame.kind, memex_net::FrameKind::Response);
+    match memex_net::wire::decode_response(&frame.payload).expect("decode error frame") {
         Response::Error(msg) => assert!(msg.contains("decode"), "unexpected message: {msg}"),
         other => panic!("expected Error response, got {other:?}"),
     }

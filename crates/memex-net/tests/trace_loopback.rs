@@ -1,10 +1,12 @@
 //! End-to-end tracing over a live loopback server: every request — cache
 //! hits included — must leave exactly one complete span tree in the
 //! flight recorder, slow requests must land in the slow log with their
-//! lock-wait accounting and per-layer children, and wire-v2 peers must
-//! keep working against the v3 server (and vice versa).
+//! lock-wait accounting and per-layer children, and peers speaking a
+//! retired wire version must be refused with a typed error.
 
 use std::collections::HashSet;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,7 +109,7 @@ fn every_request_records_exactly_one_complete_trace() {
         ids.push(
             client
                 .last_trace_id()
-                .expect("v3 client stamps every request"),
+                .expect("the client stamps every request"),
         );
     }
 
@@ -253,82 +255,121 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
     assert!(snap.counter("slowlog.retained") >= 2);
 }
 
+/// Read `net.decode.errors` from the server's registry over the wire;
+/// the `Stats` request's own trace id joins `ids`.
+fn decode_errors(client: &mut MemexClient, ids: &mut Vec<u64>) -> u64 {
+    let Response::Stats(snap) = client.request(&Request::Stats).expect("stats") else {
+        panic!("Stats request answered with a non-Stats response");
+    };
+    ids.push(
+        client
+            .last_trace_id()
+            .expect("the client stamps every request"),
+    );
+    snap.counter("net.decode.errors")
+}
+
+fn raw_connect(addr: std::net::SocketAddr) -> TcpStream {
+    let raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw
+}
+
+/// There is one wire version. A frame from a retired version (2, 3) gets
+/// exactly one typed error naming that version, then the connection
+/// closes; a current-version frame echoes the client's trace id, and one
+/// with no trace context is still traced under a server-minted id.
 #[test]
-fn wire_v2_peers_are_served_and_v3_echoes_the_trace_context() {
+fn retired_versions_are_refused_and_current_frames_are_traced() {
     let (_corpus, memex) = small_world();
     let server = NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind");
     let addr = server.local_addr();
-
-    // A v2-configured client: no trace stamping, answers still arrive.
-    let mut v2 = MemexClient::connect(
-        addr,
-        ClientConfig {
-            wire_version: 2,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect v2");
-    assert!(matches!(
-        v2.request(&Request::Stats).expect("v2 stats"),
-        Response::Stats(_)
-    ));
-    assert_eq!(v2.last_trace_id(), None, "v2 clients never stamp ids");
-
-    // Raw v2 exchange: the response frame mirrors version 2 and carries no
-    // trace extension — byte-compatible with the pre-tracing protocol.
+    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    let mut client_ids = Vec::new();
     let payload = wire::encode_request(&Request::Stats);
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    wire::write_frame_versioned(
-        &mut raw,
-        wire::MIN_WIRE_VERSION,
-        FrameKind::Request,
-        &payload,
-        None,
-    )
-    .expect("write v2 frame");
-    let meta = wire::read_frame_meta(&mut raw).expect("v2 response");
-    assert_eq!(meta.version, wire::MIN_WIRE_VERSION);
-    assert_eq!(meta.trace, None, "v2 response must not grow an extension");
-    assert!(matches!(
-        wire::decode_response(&meta.payload).expect("decode"),
-        Response::Stats(_)
-    ));
 
-    // Raw v3 exchange: the server echoes the client's trace id back in the
-    // response envelope and records the trace under that id.
+    for old in [2u8, 3] {
+        let before = decode_errors(&mut client, &mut client_ids);
+        let mut frame = wire::frame_bytes(FrameKind::Request, &payload, None);
+        frame[2] = old;
+        let mut raw = raw_connect(addr);
+        raw.write_all(&frame).expect("write old-version frame");
+        let reply = wire::read_frame(&mut raw).expect("error frame back");
+        assert_eq!(reply.kind, FrameKind::Response);
+        match wire::decode_response(&reply.payload).expect("decode error frame") {
+            Response::Error(msg) => assert!(
+                msg.contains(&format!("unsupported wire version {old}")),
+                "error does not name version {old}: {msg}"
+            ),
+            other => panic!("expected Error response to a v{old} frame, got {other:?}"),
+        }
+        // Exactly one frame, then the connection closes (clean FIN, or RST
+        // if the server left unread bytes behind).
+        let mut rest = Vec::new();
+        match raw.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "server kept talking to a v{old} peer"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+                ),
+                "connection to a v{old} peer neither closed nor reset: {e}"
+            ),
+        }
+        assert_eq!(
+            decode_errors(&mut client, &mut client_ids),
+            before + 1,
+            "a v{old} frame must count as exactly one decode error"
+        );
+    }
+
+    // A current-version frame with a trace context: the server echoes the
+    // client's trace id back in the response envelope and records the
+    // trace under that id.
     let ctx = TraceContext {
         trace_id: 0xDEAD_BEEF_CAFE_F00D,
         retry_of: None,
     };
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    wire::write_frame_versioned(
-        &mut raw,
-        wire::WIRE_VERSION,
-        FrameKind::Request,
-        &payload,
-        Some(ctx),
-    )
-    .expect("write v3 frame");
-    let meta = wire::read_frame_meta(&mut raw).expect("v3 response");
-    assert_eq!(meta.version, wire::WIRE_VERSION);
-    assert_eq!(meta.trace, Some(ctx), "v3 response must echo the trace id");
+    let mut raw = raw_connect(addr);
+    wire::write_frame(&mut raw, FrameKind::Request, &payload, Some(ctx)).expect("write traced");
+    let reply = wire::read_frame(&mut raw).expect("traced response");
+    assert_eq!(reply.trace, Some(ctx), "response must echo the trace id");
+    assert!(matches!(
+        wire::decode_response(&reply.payload).expect("decode"),
+        Response::Stats(_)
+    ));
+
+    // Flags 0: no trace context on the wire, none echoed back — but the
+    // request is still traced, under an id the server mints.
+    wire::write_frame(&mut raw, FrameKind::Request, &payload, None).expect("write untraced");
+    let reply = wire::read_frame(&mut raw).expect("untraced response");
+    assert_eq!(reply.trace, None, "nothing to echo for an untraced frame");
+    assert!(matches!(
+        wire::decode_response(&reply.payload).expect("decode"),
+        Response::Stats(_)
+    ));
+    drop(raw);
 
     let memex = server.shutdown();
     let traces = memex.tracer().collect(false, 100);
+    assert!(traces.iter().all(|t| t.is_complete()));
     assert!(
         traces.iter().any(|t| t.trace_id == ctx.trace_id),
         "propagated id absent from the flight recorder"
     );
-    // The v2 requests were traced too — under server-generated ids.
-    assert!(traces.len() >= 3, "v2 requests must still be traced");
-    assert!(traces.iter().all(|t| t.is_complete()));
+    // Refused frames never reach a root span: one trace per served
+    // request, and exactly one of them carries a server-minted id.
+    assert_eq!(traces.len(), client_ids.len() + 2);
+    let minted = traces
+        .iter()
+        .filter(|t| t.trace_id != ctx.trace_id && !client_ids.contains(&t.trace_id))
+        .count();
+    assert_eq!(minted, 1, "the untraced frame must be traced exactly once");
 }
 
 /// A retried read must be a *new* trace, linked to the dead attempt — not
 /// an alias of it. The client mints a fresh id per attempt and stamps the
-/// dead attempt's id as `retry_of` (wire v4); the server annotates the
+/// dead attempt's id as `retry_of`; the server annotates the
 /// answering root span with it.
 #[test]
 fn retried_read_gets_fresh_trace_id_linked_to_dead_attempt() {
